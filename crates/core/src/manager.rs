@@ -3,7 +3,7 @@
 use crate::config::NexusSharpConfig;
 use crate::distribution::Distributor;
 use nexus_host::manager::{ManagerEvent, TaskManager};
-use nexus_sim::{ClockDomain, FxHashMap, SerialResource, SimDuration, SimTime};
+use nexus_sim::{ClockDomain, SerialResource, SimDuration, SimTime};
 use nexus_taskgraph::{DepCountsTable, DependencyTracker, TaskPool};
 use nexus_trace::{TaskDescriptor, TaskId};
 
@@ -21,23 +21,18 @@ pub struct NexusSharp {
     tg_engines: Vec<SerialResource>,
     /// The Dependence Counts Arbiter.
     arbiter: SerialResource,
-    /// The Write Back port (reads the Function Pointers table and forwards
-    /// ready ids to the Nexus IO unit).
-    writeback: SerialResource,
+    /// The Internal Ready Tasks buffer and the Write Back port.
+    writeback: WriteBack,
 
     /// Functional dependency state, one tracker per task graph.
     trackers: Vec<DependencyTracker>,
     /// The arbiter's per-task gathering state and global dependence counts.
     dep_counts: DepCountsTable,
-    /// Bounded in-flight task storage with free-list recycling.
+    /// Bounded in-flight task storage with free-list recycling; it holds the
+    /// parameter lists re-distributed when a task finishes.
     pool: TaskPool,
-    /// Parameter lists of in-flight tasks (the Task Pool contents used when a
-    /// finished task's addresses are re-distributed).
-    params: FxHashMap<TaskId, Vec<nexus_trace::TaskParam>>,
-    /// Retired parameter-list buffers, reused for the next submission (the
-    /// managers churn through one list per task; recycling the allocations
-    /// keeps the event hot path allocation-free in steady state).
-    param_arena: Vec<Vec<nexus_trace::TaskParam>>,
+    /// Tasks released by one retired parameter (reused scratch buffer).
+    released: Vec<TaskId>,
 
     pending: Vec<ManagerEvent>,
     tasks_submitted: u64,
@@ -61,14 +56,17 @@ impl NexusSharp {
                 .map(|_| SerialResource::new())
                 .collect(),
             arbiter: SerialResource::new(),
-            writeback: SerialResource::new(),
+            writeback: WriteBack {
+                port: SerialResource::new(),
+                fifo: config.clock().cycles(config.ready_fifo_latency_cycles),
+                service: config.clock().cycles(config.writeback_cycles),
+            },
             trackers: (0..config.task_graphs)
                 .map(|_| DependencyTracker::new(config.table_per_tg))
                 .collect(),
             dep_counts: DepCountsTable::new(),
             pool: TaskPool::new(config.task_pool_capacity, config.retirement),
-            params: FxHashMap::default(),
-            param_arena: Vec::new(),
+            released: Vec::new(),
             pending: Vec::new(),
             tasks_submitted: 0,
             tasks_retired: 0,
@@ -107,15 +105,23 @@ impl NexusSharp {
     fn args_fifo(&self) -> SimDuration {
         self.cycles(self.config.args_fifo_latency_cycles)
     }
+}
 
-    /// Ready id goes through the Internal Ready Tasks buffer and Write Back.
-    fn write_back_ready(&mut self, task: TaskId, not_before: SimTime) {
-        let res = self.writeback.acquire_after(
-            not_before,
-            not_before + self.cycles(self.config.ready_fifo_latency_cycles),
-            self.cycles(self.config.writeback_cycles),
-        );
-        self.pending.push(ManagerEvent::Ready { task, at: res.end });
+/// The Internal Ready Tasks buffer feeding the Write Back port, which reads
+/// the Function Pointers table and forwards ready ids to the Nexus IO unit.
+struct WriteBack {
+    port: SerialResource,
+    fifo: SimDuration,
+    service: SimDuration,
+}
+
+impl WriteBack {
+    /// A ready id enters the buffer at `not_before`; returns when the port
+    /// has written it back.
+    fn ready_at(&mut self, not_before: SimTime) -> SimTime {
+        self.port
+            .acquire_after(not_before, not_before + self.fifo, self.service)
+            .end
     }
 }
 
@@ -193,12 +199,8 @@ impl TaskManager for NexusSharp {
             .input_parser
             .acquire(ip_cursor, self.cycles(self.config.ip_finalize_cycles));
         self.pool
-            .admit(task.clone())
+            .admit(task)
             .expect("driver must check can_accept before submitting");
-        let mut buf = self.param_arena.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(&task.params);
-        self.params.insert(task.id, buf);
 
         // The arbiter concludes the final dependence count once the last
         // parameter's result has been gathered.
@@ -211,7 +213,8 @@ impl TaskManager for NexusSharp {
         if ready {
             debug_assert!(!any_blocked);
             self.ready_immediately += 1;
-            self.write_back_ready(task.id, decide.end);
+            let at = self.writeback.ready_at(decide.end);
+            self.pending.push(ManagerEvent::Ready { task: task.id, at });
         }
 
         // The master is released when the descriptor transfer completes.
@@ -229,13 +232,13 @@ impl TaskManager for NexusSharp {
             .acquire(now, self.cycles(self.config.finish_receive_cycles));
 
         let params = self
-            .params
-            .remove(&task)
+            .pool
+            .params(task)
             .expect("finish() for a task that was never submitted");
         let mut ip_cursor = recv.end;
         let mut retire_at = recv.end;
 
-        for p in &params {
+        for p in params {
             let dist = self.input_parser.acquire(
                 ip_cursor,
                 self.cycles(self.config.finish_distribute_cycles_per_param),
@@ -243,7 +246,8 @@ impl TaskManager for NexusSharp {
             ip_cursor = dist.end;
 
             let tg = self.distributor.pick_readonly(p.addr);
-            let out = self.trackers[tg].retire_param(task, p.addr, p.dir);
+            self.released.clear();
+            let out = self.trackers[tg].retire_param_into(task, p.addr, &mut self.released);
 
             // Task-graph cleanup: delete the entry and walk the kick-off list.
             let mut delete_cycles = self.config.delete_cycles_per_param;
@@ -257,21 +261,22 @@ impl TaskManager for NexusSharp {
             // Waiting tasks found in the kick-off list are written to the Wait.
             // Tasks buffer; the arbiter decrements their dependence counts one
             // by one and decides whether they are ready.
-            for released in out.released {
+            for &released in &self.released {
                 let ar = self.arbiter.acquire_after(
                     del.end,
                     del.end,
                     self.cycles(self.config.waiter_decrement_cycles),
                 );
                 if self.dep_counts.release_one(released) {
-                    self.write_back_ready(released, ar.end);
+                    let at = self.writeback.ready_at(ar.end);
+                    self.pending
+                        .push(ManagerEvent::Ready { task: released, at });
                 }
                 retire_at = retire_at.max(ar.end);
             }
         }
 
         self.pool.finish(task);
-        self.param_arena.push(params);
         self.tasks_retired += 1;
         self.pending.push(ManagerEvent::Retired {
             task,
@@ -323,7 +328,7 @@ impl TaskManager for NexusSharp {
             ),
             (
                 "writeback_utilization".into(),
-                self.writeback.utilization(horizon),
+                self.writeback.port.utilization(horizon),
             ),
             ("tg_utilization_avg".into(), avg_tg_util),
             ("tg_utilization_max".into(), max_tg_util),

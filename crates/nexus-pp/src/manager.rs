@@ -2,10 +2,9 @@
 
 use crate::config::NexusPPConfig;
 use nexus_host::manager::{ManagerEvent, TaskManager};
-use nexus_sim::{ClockDomain, SerialResource, SimDuration, SimTime};
+use nexus_sim::{ClockDomain, FxHashMap, SerialResource, SimDuration, SimTime};
 use nexus_taskgraph::{DependencyTracker, TaskPool};
 use nexus_trace::{TaskDescriptor, TaskId};
-use std::collections::HashMap;
 
 /// The centralized Nexus++ hardware task manager.
 pub struct NexusPP {
@@ -23,12 +22,13 @@ pub struct NexusPP {
 
     /// Functional dependency state of the single task graph.
     tracker: DependencyTracker,
-    /// Bounded in-flight task storage (circular-buffer recycling by default).
+    /// Bounded in-flight task storage (circular-buffer recycling by default);
+    /// it holds the parameter lists walked at cleanup time.
     pool: TaskPool,
     /// Outstanding dependence count per waiting task.
-    dep_counts: HashMap<TaskId, u32>,
-    /// Parameter lists of in-flight tasks (needed at cleanup time).
-    params: HashMap<TaskId, Vec<nexus_trace::TaskParam>>,
+    dep_counts: FxHashMap<TaskId, u32>,
+    /// Tasks kicked off by one finished task (reused scratch buffer).
+    released: Vec<TaskId>,
 
     pending: Vec<ManagerEvent>,
     /// Counters for `stats_summary`.
@@ -53,8 +53,8 @@ impl NexusPP {
             io_front_end: SerialResource::new(),
             graph_engine: SerialResource::new(),
             writeback: SerialResource::new(),
-            dep_counts: HashMap::new(),
-            params: HashMap::new(),
+            dep_counts: FxHashMap::default(),
+            released: Vec::new(),
             pending: Vec::new(),
             tasks_submitted: 0,
             tasks_retired: 0,
@@ -141,9 +141,8 @@ impl TaskManager for NexusPP {
 
         // Bookkeeping for the finished-task pipeline.
         self.pool
-            .admit(task.clone())
+            .admit(task)
             .expect("driver must check can_accept before submitting");
-        self.params.insert(task.id, task.params.clone());
 
         // Stage 3: Write Back for tasks with no unresolved dependencies.
         if blocked_params == 0 {
@@ -168,15 +167,14 @@ impl TaskManager for NexusPP {
         // waiting tasks and cleans up table entries; it contends with the Insert
         // stage for the single task graph.
         let params = self
-            .params
-            .remove(&task)
+            .pool
+            .params(task)
             .expect("finish() for a task that was never submitted");
         let mut cleanup_cycles = self.config.delete_cycles_per_param * params.len() as u64;
-        let mut released: Vec<TaskId> = Vec::new();
-        for p in &params {
-            let out = self.tracker.retire_param(task, p.addr, p.dir);
+        let mut released = std::mem::take(&mut self.released);
+        for p in params {
+            let out = self.tracker.retire_param_into(task, p.addr, &mut released);
             cleanup_cycles += self.config.kickoff_cycles_per_waiter * out.waiters_scanned as u64;
-            released.extend(out.released);
         }
         let cleanup = self.graph_engine.acquire_after(
             recv.end,
@@ -186,7 +184,7 @@ impl TaskManager for NexusPP {
 
         // Kicked-off tasks whose dependence count reaches zero go through the
         // Write Back stage.
-        for dep in released {
+        for dep in released.drain(..) {
             let count = self
                 .dep_counts
                 .get_mut(&dep)
@@ -197,6 +195,7 @@ impl TaskManager for NexusPP {
                 self.write_back_ready(dep, cleanup.end);
             }
         }
+        self.released = released;
 
         // Retirement (as observed by `taskwait`) happens when cleanup completes.
         self.pool.finish(task);

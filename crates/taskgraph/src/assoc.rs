@@ -150,14 +150,9 @@ impl<V> SetAssocTable<V> {
     /// Mutable lookup, reporting where the entry was found and counting
     /// overflow hits.
     pub fn get_mut(&mut self, addr: u64) -> Option<(&mut V, Placement)> {
-        let set_idx = self.config.set_of(addr);
-        // Split borrows: check the home set first.
-        if self.sets[set_idx].iter().any(|e| e.addr == addr) {
-            let e = self.sets[set_idx]
-                .iter_mut()
-                .find(|e| e.addr == addr)
-                .expect("just found");
-            return Some((&mut e.value, Placement::Way));
+        let set = &mut self.sets[self.config.set_of(addr)];
+        if let Some(pos) = set.iter().position(|e| e.addr == addr) {
+            return Some((&mut set[pos].value, Placement::Way));
         }
         if let Some(v) = self.overflow.get_mut(&addr) {
             self.stats.overflow_hits += 1;
@@ -174,13 +169,8 @@ impl<V> SetAssocTable<V> {
         init: impl FnOnce() -> V,
     ) -> (&mut V, Placement, bool) {
         let set_idx = self.config.set_of(addr);
-        let in_way = self.sets[set_idx].iter().any(|e| e.addr == addr);
-        if in_way {
-            let e = self.sets[set_idx]
-                .iter_mut()
-                .find(|e| e.addr == addr)
-                .expect("just found");
-            return (&mut e.value, Placement::Way, false);
+        if let Some(pos) = self.sets[set_idx].iter().position(|e| e.addr == addr) {
+            return (&mut self.sets[set_idx][pos].value, Placement::Way, false);
         }
         if self.overflow.contains_key(&addr) {
             self.stats.overflow_hits += 1;
@@ -189,30 +179,24 @@ impl<V> SetAssocTable<V> {
         }
         // Allocate.
         self.stats.insertions += 1;
-        let placement = if self.sets[set_idx].len() < self.config.ways {
-            self.sets[set_idx].push(WayEntry {
+        self.stats.peak_live = self.stats.peak_live.max(self.len() + 1);
+        let set = &mut self.sets[set_idx];
+        if set.len() < self.config.ways {
+            self.stats.resident += 1;
+            set.push(WayEntry {
                 addr,
                 value: init(),
             });
-            self.stats.resident += 1;
-            Placement::Way
+            let e = set.last_mut().expect("just pushed");
+            (&mut e.value, Placement::Way, true)
         } else {
             self.stats.overflow_insertions += 1;
-            self.overflow.insert(addr, init());
             self.stats.overflowed += 1;
-            Placement::Overflow
-        };
-        self.stats.peak_live = self.stats.peak_live.max(self.len());
-        match placement {
-            Placement::Way => {
-                let e = self.sets[set_idx].last_mut().expect("just pushed");
-                (&mut e.value, Placement::Way, true)
-            }
-            Placement::Overflow => (
-                self.overflow.get_mut(&addr).expect("just inserted"),
+            (
+                self.overflow.entry(addr).or_insert_with(init),
                 Placement::Overflow,
                 true,
-            ),
+            )
         }
     }
 

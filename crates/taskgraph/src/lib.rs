@@ -19,6 +19,24 @@
 //!   supporting both free-list and in-order (circular-buffer) retirement,
 //! * [`DepCountsTable`] — the per-task outstanding-dependence counters
 //!   gathered by the Dependence Counts Arbiter.
+//!
+//! ## Storage layout
+//!
+//! The managers' event hot path allocates nothing once the structures have
+//! reached their peak occupancy, and each fact is stored once:
+//!
+//! * an address entry of the [`DependencyTracker`] holds its outstanding
+//!   accesses as a vector in insertion order. Each access records its task,
+//!   whether it writes, its `dependents` (the tasks that wait for it to
+//!   retire, in insertion order) and its own remaining-blocker count, which
+//!   is non-zero while the task sits in the address's kick-off list. The most
+//!   recent writer is the last writing access, and a retirement finds its
+//!   dependents in one left-to-right pass from its own position;
+//! * the [`TaskPool`] holds the one copy of each in-flight task's
+//!   input/output list, which the finished-task cleanup reads back;
+//! * emptied access lists, `dependents` lists and parameter lists are kept
+//!   for reuse, and [`DependencyTracker::retire_param_into`] appends released
+//!   tasks to a buffer the caller reuses.
 
 #![warn(missing_docs)]
 
@@ -33,8 +51,8 @@ pub use assoc::{SetAssocConfig, SetAssocTable};
 pub use depcounts::DepCountsTable;
 pub use kickoff::KickOffList;
 pub use refgraph::ReferenceGraph;
-pub use taskpool::{RetirementOrder, TaskPool};
-pub use tracker::{DependencyTracker, InsertOutcome, RetireOutcome};
+pub use taskpool::{PoolFull, RetirementOrder, TaskPool};
+pub use tracker::{DependencyTracker, InsertOutcome, RetireOutcome, Retirement};
 
 /// Convenience prelude.
 pub mod prelude {
@@ -42,6 +60,6 @@ pub mod prelude {
     pub use crate::depcounts::DepCountsTable;
     pub use crate::kickoff::KickOffList;
     pub use crate::refgraph::ReferenceGraph;
-    pub use crate::taskpool::{RetirementOrder, TaskPool};
-    pub use crate::tracker::{DependencyTracker, InsertOutcome, RetireOutcome};
+    pub use crate::taskpool::{PoolFull, RetirementOrder, TaskPool};
+    pub use crate::tracker::{DependencyTracker, InsertOutcome, RetireOutcome, Retirement};
 }

@@ -6,6 +6,12 @@
 //! … the Input Parser will read its input/output list from the Task Pool, and
 //! distribute them subsequently" (§IV-B).
 //!
+//! The pool holds the one copy of each in-flight task's input/output list
+//! that the manager keeps: [`TaskPool::admit`] copies the list in, the
+//! finished-task cleanup reads it back through [`TaskPool::params`], and
+//! [`TaskPool::finish`] keeps its buffer for the next admission, so the pool
+//! stops allocating once it has been full.
+//!
 //! The pool is a fixed-size hardware structure: when it is full the manager
 //! back-pressures the submitting runtime. Two retirement disciplines are
 //! modelled:
@@ -19,7 +25,7 @@
 //!   irregular workloads.
 
 use nexus_sim::FxHashMap;
-use nexus_trace::{TaskDescriptor, TaskId};
+use nexus_trace::{TaskDescriptor, TaskId, TaskParam};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -45,12 +51,19 @@ pub struct TaskPoolStats {
     pub peak_occupancy: usize,
 }
 
+/// Admission refused because every slot is occupied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoolFull;
+
 /// A bounded pool of in-flight task descriptors.
 #[derive(Debug, Clone)]
 pub struct TaskPool {
     capacity: usize,
     order: RetirementOrder,
-    tasks: FxHashMap<TaskId, TaskDescriptor>,
+    /// Input/output lists of admitted, unfinished tasks.
+    params: FxHashMap<TaskId, Vec<TaskParam>>,
+    /// Emptied lists of finished tasks, reused by later admissions.
+    spare: Vec<Vec<TaskParam>>,
     /// Occupied slots (admitted and not yet recycled).
     occupied: usize,
     /// Allocation order — maintained only under in-order recycling (free-list
@@ -72,7 +85,8 @@ impl TaskPool {
         TaskPool {
             capacity,
             order,
-            tasks: FxHashMap::default(),
+            params: FxHashMap::default(),
+            spare: Vec::new(),
             occupied: 0,
             fifo: VecDeque::with_capacity(capacity),
             finished_pending: FxHashMap::default(),
@@ -105,16 +119,18 @@ impl TaskPool {
         self.stats
     }
 
-    /// Admits a task. Returns `Err(task)` if the pool is full.
-    pub fn admit(&mut self, task: TaskDescriptor) -> Result<(), TaskDescriptor> {
+    /// Admits a task, storing a copy of its input/output list.
+    pub fn admit(&mut self, task: &TaskDescriptor) -> Result<(), PoolFull> {
         if !self.has_free_slot() {
             self.stats.rejections += 1;
-            return Err(task);
+            return Err(PoolFull);
         }
         self.stats.admitted += 1;
         let id = task.id;
-        debug_assert!(!self.tasks.contains_key(&id), "{id} admitted twice");
-        self.tasks.insert(id, task);
+        let mut list = self.spare.pop().unwrap_or_default();
+        list.extend_from_slice(&task.params);
+        let previous = self.params.insert(id, list);
+        debug_assert!(previous.is_none(), "{id} admitted twice");
         self.occupied += 1;
         if self.order == RetirementOrder::InOrder {
             self.fifo.push_back(id);
@@ -123,20 +139,25 @@ impl TaskPool {
         Ok(())
     }
 
-    /// Looks up the descriptor of an in-flight task.
-    pub fn get(&self, id: TaskId) -> Option<&TaskDescriptor> {
-        self.tasks.get(&id)
+    /// The input/output list of an unfinished task, as admitted.
+    pub fn params(&self, id: TaskId) -> Option<&[TaskParam]> {
+        self.params.get(&id).map(Vec::as_slice)
     }
 
-    /// Marks a task as finished and recycles whatever slots the retirement
-    /// discipline allows. Returns the number of slots made reusable by this
-    /// call (0 is possible under in-order recycling when an older task is
-    /// still running).
+    /// Marks a task as finished, drops its input/output list and recycles
+    /// whatever slots the retirement discipline allows. Returns the number of
+    /// slots made reusable by this call (0 is possible under in-order
+    /// recycling when an older task is still running).
     pub fn finish(&mut self, id: TaskId) -> usize {
-        debug_assert!(self.tasks.contains_key(&id), "finishing unknown task {id}");
+        match self.params.remove(&id) {
+            Some(mut list) => {
+                list.clear();
+                self.spare.push(list);
+            }
+            None => debug_assert!(false, "finishing unknown task {id}"),
+        }
         match self.order {
             RetirementOrder::FreeList => {
-                self.tasks.remove(&id);
                 self.occupied -= 1;
                 self.stats.recycled += 1;
                 1
@@ -147,7 +168,6 @@ impl TaskPool {
                 while let Some(&head) = self.fifo.front() {
                     if self.finished_pending.remove(&head).is_some() {
                         self.fifo.pop_front();
-                        self.tasks.remove(&head);
                         self.occupied -= 1;
                         recycled += 1;
                     } else {
@@ -176,31 +196,34 @@ mod tests {
     #[test]
     fn free_list_recycles_immediately() {
         let mut p = TaskPool::new(2, RetirementOrder::FreeList);
-        p.admit(task(0)).unwrap();
-        p.admit(task(1)).unwrap();
+        p.admit(&task(0)).unwrap();
+        p.admit(&task(1)).unwrap();
         assert!(!p.has_free_slot());
-        assert!(p.admit(task(2)).is_err());
+        assert!(p.admit(&task(2)).is_err());
         assert_eq!(p.stats().rejections, 1);
         // Finishing the *second* task frees a slot immediately.
         assert_eq!(p.finish(TaskId(1)), 1);
         assert!(p.has_free_slot());
-        p.admit(task(2)).unwrap();
+        p.admit(&task(2)).unwrap();
         assert_eq!(p.occupancy(), 2);
-        assert!(p.get(TaskId(0)).is_some());
-        assert!(p.get(TaskId(1)).is_none());
+        assert_eq!(p.params(TaskId(0)), Some(&task(0).params[..]));
+        assert!(p.params(TaskId(1)).is_none());
     }
 
     #[test]
     fn in_order_recycling_suffers_head_of_line_blocking() {
         let mut p = TaskPool::new(3, RetirementOrder::InOrder);
-        p.admit(task(0)).unwrap();
-        p.admit(task(1)).unwrap();
-        p.admit(task(2)).unwrap();
+        p.admit(&task(0)).unwrap();
+        p.admit(&task(1)).unwrap();
+        p.admit(&task(2)).unwrap();
         // Tasks 1 and 2 finish, but task 0 (the head) is still running:
         // no slot can be recycled.
         assert_eq!(p.finish(TaskId(1)), 0);
         assert_eq!(p.finish(TaskId(2)), 0);
         assert!(!p.has_free_slot());
+        // Their lists are gone even though their slots are not yet free.
+        assert!(p.params(TaskId(1)).is_none());
+        assert!(p.params(TaskId(0)).is_some());
         // When the head finishes, all three slots recycle at once.
         assert_eq!(p.finish(TaskId(0)), 3);
         assert_eq!(p.occupancy(), 0);
@@ -211,7 +234,7 @@ mod tests {
     fn peak_occupancy_is_tracked() {
         let mut p = TaskPool::new(8, RetirementOrder::FreeList);
         for i in 0..5 {
-            p.admit(task(i)).unwrap();
+            p.admit(&task(i)).unwrap();
         }
         for i in 0..5 {
             p.finish(TaskId(i));

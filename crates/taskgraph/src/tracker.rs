@@ -12,7 +12,8 @@
 //!
 //! and reports, per parameter insertion, whether the task has to wait
 //! ([`InsertOutcome`]) and, per parameter retirement, which waiting tasks lost
-//! their last blocker on this address ([`RetireOutcome`]). The caller (the
+//! their last blocker on this address
+//! ([`DependencyTracker::retire_param_into`]). The caller (the
 //! task-graph unit or the Dependence Counts Arbiter) aggregates these
 //! per-address events into per-task dependence counts.
 //!
@@ -22,31 +23,32 @@
 
 use crate::assoc::{Placement, SetAssocConfig, SetAssocTable};
 use crate::kickoff::DEFAULT_SEGMENT_CAPACITY;
-use nexus_sim::FxHashMap;
 use nexus_trace::{Direction, TaskId};
 use serde::{Deserialize, Serialize};
 
 /// One outstanding (unretired) access by one task parameter.
 #[derive(Debug, Clone)]
 struct Access {
+    task: TaskId,
     writes: bool,
-    /// Tasks whose parameter on this address waits for this access to retire.
+    /// Earlier accesses of this address this parameter still waits for;
+    /// non-zero while the task sits in the address's kick-off list.
+    blockers: u32,
+    /// Tasks whose parameter on this address waits for this access to retire,
+    /// in insertion order.
     dependents: Vec<TaskId>,
 }
 
 /// Per-address tracking state.
 #[derive(Debug, Clone, Default)]
 struct AddrState {
-    /// Outstanding accesses, keyed by task.
-    outstanding: FxHashMap<TaskId, Access>,
-    /// Outstanding writers in submission order (newest last). Almost always
-    /// length 0–2 in practice.
-    writer_order: Vec<TaskId>,
+    /// Outstanding accesses in insertion order, oldest first. Retirement
+    /// keeps the order, so every access's dependents sit after it, in the
+    /// order of its `dependents` list.
+    outstanding: Vec<Access>,
     /// Number of tasks currently waiting on this address (the kick-off list
     /// occupancy).
     kickoff_len: usize,
-    /// High-water mark of the kick-off list.
-    kickoff_peak: usize,
 }
 
 impl AddrState {
@@ -68,6 +70,16 @@ pub struct InsertOutcome {
     /// Kick-off-list segment the waiter landed in (0 if not blocked);
     /// segments beyond the first model dummy-entry chaining cycles.
     pub kickoff_segment: usize,
+}
+
+/// What retiring one task parameter cost; the released tasks go to the
+/// caller's buffer (see [`DependencyTracker::retire_param_into`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Retirement {
+    /// True if the address entry became empty and was freed.
+    pub entry_freed: bool,
+    /// Number of waiters examined while walking the kick-off list (for timing).
+    pub waiters_scanned: usize,
 }
 
 /// Result of retiring one task parameter.
@@ -100,8 +112,10 @@ pub struct TrackerStats {
 #[derive(Debug, Clone)]
 pub struct DependencyTracker {
     table: SetAssocTable<AddrState>,
-    /// Remaining blockers per (waiting task, address).
-    waiting: FxHashMap<(TaskId, u64), u32>,
+    /// Emptied access lists of freed entries, reused by later entries.
+    spare_entries: Vec<Vec<Access>>,
+    /// Emptied `dependents` lists of retired accesses, reused by later ones.
+    spare_dependents: Vec<Vec<TaskId>>,
     stats: TrackerStats,
 }
 
@@ -110,7 +124,8 @@ impl DependencyTracker {
     pub fn new(config: SetAssocConfig) -> Self {
         DependencyTracker {
             table: SetAssocTable::new(config),
-            waiting: FxHashMap::default(),
+            spare_entries: Vec::new(),
+            spare_dependents: Vec::new(),
             stats: TrackerStats::default(),
         }
     }
@@ -141,53 +156,49 @@ impl DependencyTracker {
     /// managers guarantee this by processing requests in order per task graph).
     pub fn insert_param(&mut self, task: TaskId, addr: u64, dir: Direction) -> InsertOutcome {
         self.stats.params_inserted += 1;
-        let (state, placement, new_entry) = self.table.get_or_insert_with(addr, AddrState::default);
+        let spare_entries = &mut self.spare_entries;
+        let (state, placement, new_entry) = self.table.get_or_insert_with(addr, || AddrState {
+            outstanding: spare_entries.pop().unwrap_or_default(),
+            kickoff_len: 0,
+        });
+        debug_assert!(
+            !state.outstanding.iter().any(|a| a.task == task),
+            "{task} inserted two parameters on address {addr:#x}"
+        );
 
-        // Determine which outstanding accesses block this parameter.
-        let mut blockers: Vec<TaskId> = Vec::new();
-        if dir.writes() {
+        // Register this parameter with every outstanding access that blocks it.
+        let writes = dir.writes();
+        let blockers = if writes {
             // WAW + WAR: wait for every outstanding access.
-            blockers.extend(state.outstanding.keys().copied());
-        } else if let Some(&w) = state.writer_order.last() {
+            for access in &mut state.outstanding {
+                access.dependents.push(task);
+            }
+            state.outstanding.len()
+        } else if let Some(writer) = state.outstanding.iter_mut().rev().find(|a| a.writes) {
             // RAW: wait for the most recent outstanding writer only.
-            blockers.push(w);
-        }
+            writer.dependents.push(task);
+            1
+        } else {
+            0
+        };
 
-        let blocked = !blockers.is_empty();
+        let blocked = blockers > 0;
         let mut kickoff_segment = 0;
         if blocked {
             self.stats.params_blocked += 1;
-            for b in &blockers {
-                state
-                    .outstanding
-                    .get_mut(b)
-                    .expect("blocker must be outstanding")
-                    .dependents
-                    .push(task);
-            }
             state.kickoff_len += 1;
-            state.kickoff_peak = state.kickoff_peak.max(state.kickoff_len);
             kickoff_segment = state.kickoff_segments();
-            self.waiting.insert((task, addr), blockers.len() as u32);
         }
 
         // Record this task's own access so later tasks can depend on it.
-        debug_assert!(
-            !state.outstanding.contains_key(&task),
-            "{task} inserted two parameters on address {addr:#x}"
-        );
-        state.outstanding.insert(
+        state.outstanding.push(Access {
             task,
-            Access {
-                writes: dir.writes(),
-                dependents: Vec::new(),
-            },
-        );
-        if dir.writes() {
-            state.writer_order.push(task);
-        }
+            writes,
+            blockers: blockers as u32,
+            dependents: self.spare_dependents.pop().unwrap_or_default(),
+        });
 
-        self.stats.max_kickoff_len = self.stats.max_kickoff_len.max(state.kickoff_peak);
+        self.stats.max_kickoff_len = self.stats.max_kickoff_len.max(state.kickoff_len);
         self.stats.max_accesses_per_addr = self
             .stats
             .max_accesses_per_addr
@@ -202,64 +213,90 @@ impl DependencyTracker {
     }
 
     /// Retires one parameter of `task` (the task has finished executing and the
-    /// manager is cleaning up its entries). Returns the tasks whose dependency
-    /// on this address is now fully resolved.
-    pub fn retire_param(&mut self, task: TaskId, addr: u64, _dir: Direction) -> RetireOutcome {
+    /// manager is cleaning up its entries) and appends to `released`, in
+    /// kick-off-list order, the tasks whose dependency on this address is now
+    /// fully resolved. The hot path allocates nothing once the tracker has
+    /// seen its peak occupancy.
+    ///
+    /// A task may retire while it still waits on `addr` (its blockers retire
+    /// later); it then leaves the kick-off list at once and its blockers skip
+    /// it, so the list length stays exact.
+    pub fn retire_param_into(
+        &mut self,
+        task: TaskId,
+        addr: u64,
+        released: &mut Vec<TaskId>,
+    ) -> Retirement {
         self.stats.params_retired += 1;
         let Some((state, _)) = self.table.get_mut(addr) else {
             debug_assert!(false, "retire_param: no entry for address {addr:#x}");
-            return RetireOutcome {
-                released: Vec::new(),
-                entry_freed: false,
-                waiters_scanned: 0,
-            };
+            return Retirement::default();
         };
-
-        let Some(access) = state.outstanding.remove(&task) else {
+        let Some(pos) = state.outstanding.iter().position(|a| a.task == task) else {
             debug_assert!(false, "retire_param: {task} has no access on {addr:#x}");
-            return RetireOutcome {
-                released: Vec::new(),
-                entry_freed: false,
-                waiters_scanned: 0,
-            };
+            return Retirement::default();
         };
-        if access.writes {
-            if let Some(pos) = state.writer_order.iter().position(|&w| w == task) {
-                state.writer_order.remove(pos);
-            }
+        let mut access = state.outstanding.remove(pos);
+        if access.blockers > 0 {
+            debug_assert!(state.kickoff_len > 0, "{task} waits on {addr:#x} uncounted");
+            state.kickoff_len -= 1;
         }
 
-        let waiters_scanned = access.dependents.len();
-        let mut released = Vec::new();
-        for dep in access.dependents {
-            let remaining = self
-                .waiting
-                .get_mut(&(dep, addr))
-                .expect("dependent must be registered as waiting");
-            *remaining -= 1;
-            if *remaining == 0 {
-                self.waiting.remove(&(dep, addr));
+        // Dependents were inserted after this access, in list order, so one
+        // left-to-right pass from its old position finds them all.
+        let mut cursor = pos;
+        for &dep in &access.dependents {
+            let Some(offset) = state.outstanding[cursor..]
+                .iter()
+                .position(|a| a.task == dep)
+            else {
+                continue; // `dep` already retired out of order
+            };
+            cursor += offset;
+            let waiter = &mut state.outstanding[cursor];
+            debug_assert!(waiter.blockers > 0, "{dep} released twice on {addr:#x}");
+            waiter.blockers -= 1;
+            if waiter.blockers == 0 {
                 state.kickoff_len -= 1;
                 released.push(dep);
             }
+            cursor += 1;
         }
+        let waiters_scanned = access.dependents.len();
+        access.dependents.clear();
+        self.spare_dependents.push(access.dependents);
 
         let entry_freed = state.outstanding.is_empty();
         if entry_freed {
             debug_assert_eq!(state.kickoff_len, 0, "waiters left on a freed entry");
-            self.table.remove(addr);
+            if let Some(entry) = self.table.remove(addr) {
+                self.spare_entries.push(entry.outstanding);
+            }
         }
 
-        RetireOutcome {
-            released,
+        Retirement {
             entry_freed,
             waiters_scanned,
         }
     }
 
+    /// [`DependencyTracker::retire_param_into`] with a fresh `released` list.
+    pub fn retire_param(&mut self, task: TaskId, addr: u64, _dir: Direction) -> RetireOutcome {
+        let mut released = Vec::new();
+        let r = self.retire_param_into(task, addr, &mut released);
+        RetireOutcome {
+            released,
+            entry_freed: r.entry_freed,
+            waiters_scanned: r.waiters_scanned,
+        }
+    }
+
     /// True if `task` still waits on `addr`.
     pub fn is_waiting(&self, task: TaskId, addr: u64) -> bool {
-        self.waiting.contains_key(&(task, addr))
+        self.table
+            .get(addr)
+            .and_then(|(s, _)| s.outstanding.iter().find(|a| a.task == task))
+            .is_some_and(|a| a.blockers > 0)
     }
 
     /// Current kick-off-list length of an address (0 if untracked).
@@ -367,6 +404,83 @@ mod tests {
         // execution this ordering cannot happen; the tracker is still safe.)
         let r = g.retire_param(t(1), a, Direction::Out);
         assert!(r.released.contains(&t(2)));
+    }
+
+    #[test]
+    fn out_of_order_retirement_keeps_the_kickoff_list_exact() {
+        let mut g = DependencyTracker::with_default_geometry();
+        let a = 0x5800;
+        g.insert_param(t(0), a, Direction::Out);
+        assert!(g.insert_param(t(1), a, Direction::Out).blocked);
+        assert!(g.insert_param(t(2), a, Direction::In).blocked);
+        assert_eq!(g.kickoff_len(a), 2);
+        // Writer 2 retires while it still waits on writer 1: it leaves the
+        // kick-off list itself and releases the reader.
+        let r = g.retire_param(t(1), a, Direction::Out);
+        assert_eq!(r.released, vec![t(2)]);
+        assert_eq!(g.kickoff_len(a), 0);
+        assert!(!g.is_waiting(t(1), a));
+        // Writer 1 then finds its only dependent gone: it scans it, releases
+        // nothing and the list length does not underflow.
+        let r = g.retire_param(t(0), a, Direction::Out);
+        assert!(r.released.is_empty());
+        assert_eq!(r.waiters_scanned, 1);
+        assert_eq!(g.kickoff_len(a), 0);
+        assert!(!r.entry_freed, "the reader is still outstanding");
+        assert!(g.retire_param(t(2), a, Direction::In).entry_freed);
+        assert_eq!(g.live_addresses(), 0);
+    }
+
+    #[test]
+    fn waiters_scanned_counts_dependents_that_stay_blocked() {
+        // A writer queued behind N readers sits in the producer's kick-off
+        // list and in every reader's: each walk scans it, only the last one
+        // releases it.
+        const N: u64 = 5;
+        let mut g = DependencyTracker::with_default_geometry();
+        let a = 0x6000;
+        g.insert_param(t(0), a, Direction::Out);
+        for i in 1..=N {
+            assert!(g.insert_param(t(i), a, Direction::In).blocked);
+        }
+        let w = t(N + 1);
+        assert!(g.insert_param(w, a, Direction::Out).blocked);
+        assert_eq!(g.kickoff_len(a), N as usize + 1);
+
+        let r = g.retire_param(t(0), a, Direction::Out);
+        assert_eq!(r.released, (1..=N).map(t).collect::<Vec<_>>());
+        assert_eq!(r.waiters_scanned, N as usize + 1);
+        assert!(g.is_waiting(w, a));
+        for i in 1..N {
+            let r = g.retire_param(t(i), a, Direction::In);
+            assert!(r.released.is_empty());
+            assert_eq!(r.waiters_scanned, 1);
+        }
+        let r = g.retire_param(t(N), a, Direction::In);
+        assert_eq!(r.released, vec![w]);
+        assert_eq!(r.waiters_scanned, 1);
+        assert_eq!(g.kickoff_len(a), 0);
+    }
+
+    #[test]
+    fn retire_into_appends_to_the_callers_buffer() {
+        let mut g = DependencyTracker::with_default_geometry();
+        let (a, b) = (0x8000, 0x8040);
+        g.insert_param(t(0), a, Direction::Out);
+        g.insert_param(t(0), b, Direction::Out);
+        g.insert_param(t(1), a, Direction::In);
+        g.insert_param(t(2), b, Direction::In);
+        let mut released = Vec::new();
+        g.retire_param_into(t(0), a, &mut released);
+        let r = g.retire_param_into(t(0), b, &mut released);
+        assert_eq!(released, vec![t(1), t(2)]);
+        assert_eq!(
+            r,
+            Retirement {
+                entry_freed: false,
+                waiters_scanned: 1
+            }
+        );
     }
 
     #[test]

@@ -145,6 +145,11 @@ fn check_equivalence(trace: &Trace, completion_seed: u64) -> usize {
         0,
         "leaked address entries"
     );
+    let stats = tracker.tracker.stats();
+    assert_eq!(
+        stats.params_retired, stats.params_inserted,
+        "parameters left outstanding"
+    );
     executed
 }
 
