@@ -51,8 +51,8 @@ use nexus_bench::runner::{
     trace_out, TraceMode,
 };
 use nexus_cluster::{
-    simulate_cluster, simulate_cluster_traced, AdmissionConfig, ClusterConfig, ClusterDriver,
-    ClusterOutcome, FeedbackKind, MemRecorder, PolicyKind, StealKind, TimeBase, Topology,
+    simulate_cluster, AdmissionConfig, ClusterConfig, ClusterDriver, ClusterOutcome, FeedbackKind,
+    MemRecorder, PolicyKind, StealKind, TimeBase, Topology,
 };
 use nexus_core::NexusSharp;
 use nexus_flow::{simulate_service, ArrivalConfig, ArrivalKind, ServiceConfig};
@@ -233,7 +233,7 @@ fn export_trace(mode: TraceMode, path: &std::path::Path) {
         .with_stealing(StealKind::MostLoaded)
         .with_engine(event_engine());
     let mut rec = MemRecorder::new(TimeBase::VirtualPs);
-    let out = simulate_cluster_traced(&trace, &cfg, |_| NexusSharp::paper(6), &mut rec);
+    let out = ClusterDriver::new(&cfg, |_| NexusSharp::paper(6)).run_recorded(&trace, &mut rec);
 
     let body = match mode {
         TraceMode::Chrome => chrome_trace(&rec),

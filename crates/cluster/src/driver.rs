@@ -23,33 +23,35 @@
 //!   ([`NOTIFY_WORDS`] words) has crossed the interconnect;
 //! * every retirement is also forwarded to the master, which implements
 //!   `taskwait` / `taskwait on` over the cluster-wide retirement count;
-//! * with a [`StealPolicy`] enabled, an **idle
-//!   node** (free workers, empty ready queue, empty input queue) pulls
-//!   pending descriptors from a loaded neighbour: a request message crosses
-//!   the interconnect, the victim hands over its youngest *eligible*
-//!   descriptors (all last-writer producers retired, so the task can run
-//!   anywhere), and each stolen descriptor pays the full re-forwarding cost
-//!   on the victim→thief link. Consumers that would have resolved the stolen
-//!   task's dependence node-locally are re-subscribed to a cross-node
-//!   retirement notification, so dependence enforcement is preserved. A
-//!   stolen descriptor enters the thief's input queue at the *front*: it is
-//!   fully resolved by construction, and parking it behind the thief's own
-//!   blocked head would break the queues' topological order and can deadlock
-//!   the cluster on dependence-heavy traces;
 //! * with runtime **feedback** enabled ([`FeedbackKind`], `NEXUS_FEEDBACK`),
 //!   every retirement notification to the master additionally carries the
 //!   retiring node's live load digest ([`LoadView`]) — no new message types
 //!   on the happy path. The master folds the digests into a `LoadTracker`
 //!   consulted by submit-time re-placement (`place` mode, via
-//!   [`FeedbackPlacement`]) and by
-//!   pool-reclamation victim selection (`reclaim` mode): an idle node may
-//!   pull the youngest dependence-*blocked* descriptors — work a steal can
-//!   never reach — out of a loaded pool, paying the same full re-forwarding
-//!   cost as a steal. A reclaimed descriptor is still blocked on arrival, so
-//!   it is *parked* outside the thief's input queue and enters at the front
-//!   only when its last producer notification lands (the stolen-descriptor
-//!   rule); its dependences are re-homed by subscribing it to every
-//!   still-unretired producer at grant time.
+//!   [`FeedbackPlacement`]) and by reclaim victim selection;
+//! * **task migration** moves pending descriptors from a loaded victim to an
+//!   idle thief (free workers, empty ready and input queues) in one protocol
+//!   of two kinds: *steal* (with a [`StealPolicy`] enabled) and *reclaim*
+//!   (feedback `reclaim` mode). A request
+//!   message crosses the interconnect; the victim hands over its youngest
+//!   candidates, each paying the full re-forwarding cost on the victim→thief
+//!   link, or answers empty-handed. The kinds differ only in their candidate
+//!   filter — a steal takes *eligible* descriptors (all last-writer producers
+//!   retired, so the task can run anywhere), a reclaim the
+//!   dependence-*blocked* remainder a steal can never reach — in the policy
+//!   calls that pick the victim and size the batch, and in the span event
+//!   they emit. Dependences are re-homed at grant time: consumers that would
+//!   have resolved the moved task node-locally, and the moved task's own
+//!   unretired producers, are subscribed to cross-node retirement
+//!   notifications. On arrival an eligible descriptor enters the thief's
+//!   input queue at the *front* — parking it behind the thief's own blocked
+//!   head would break the queues' topological order and can deadlock the
+//!   cluster on dependence-heavy traces — and a still-blocked one is
+//!   *parked* outside the queue until its last producer notification lands,
+//!   then enters at the front. Stolen descriptors are eligible by
+//!   construction, so they always take the front. After every event all
+//!   steal requests are issued first, then all reclaim requests; a node with
+//!   a steal in flight sits out the reclaim round.
 //!
 //! Cross-node anti-dependencies (a remote writer overtaking a remote reader)
 //! are intentionally *not* ordered: as in distributed task-based runtimes
@@ -63,7 +65,7 @@
 use crate::config::ClusterConfig;
 use crate::interconnect::Interconnect;
 use crate::outcome::{ClusterOutcome, LinkStats};
-use crate::routing::DepScanner;
+use crate::routing::{DepScanner, EdgeStats};
 use crate::stream::{DepthSeries, StreamOutcome, StreamingSource};
 use nexus_host::manager::{ManagerEvent, TaskManager};
 use nexus_host::master::{MasterSm, MasterStep};
@@ -98,6 +100,32 @@ pub const RECLAIM_WORDS: u64 = 2;
 /// fades from the placement decision within a handful of retirements).
 const DIGEST_HALF_LIFE_PS: u64 = 200_000_000;
 
+/// The two kinds of task migration (see the [module docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MigrationKind {
+    /// Work stealing: moves *eligible* descriptors.
+    Steal,
+    /// Pool reclamation: moves dependence-*blocked* descriptors.
+    Reclaim,
+}
+
+impl MigrationKind {
+    /// Both kinds, in the order the driver issues their requests.
+    const ALL: [MigrationKind; 2] = [MigrationKind::Steal, MigrationKind::Reclaim];
+
+    fn index(self) -> usize {
+        self as usize
+    }
+
+    /// Words on the wire for a request or its empty-handed reply.
+    fn words(self) -> u64 {
+        match self {
+            MigrationKind::Steal => STEAL_WORDS,
+            MigrationKind::Reclaim => RECLAIM_WORDS,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// The master executes its next trace operation.
@@ -127,18 +155,20 @@ enum Event {
         /// (attached only while runtime feedback is enabled).
         load: Option<(usize, LoadView)>,
     },
-    /// An idle node's steal request reaches its victim.
-    StealRequest { thief: usize, victim: usize },
-    /// A stolen descriptor reaches the thief's input queue.
-    StolenArrive { node: usize, idx: usize },
-    /// The victim's empty-handed steal reply reaches the thief.
-    StealFailed { thief: usize },
-    /// An idle node's pool-reclamation request reaches its victim.
-    ReclaimRequest { thief: usize, victim: usize },
-    /// A reclaimed (still dependence-blocked) descriptor reaches the thief.
-    ReclaimedArrive { node: usize, idx: usize },
-    /// The victim's empty-handed reclaim reply reaches the thief.
-    ReclaimFailed { thief: usize },
+    /// An idle node's migration request reaches its victim.
+    MigrateRequest {
+        kind: MigrationKind,
+        thief: usize,
+        victim: usize,
+    },
+    /// A migrated descriptor reaches the thief.
+    MigratedArrive {
+        kind: MigrationKind,
+        node: usize,
+        idx: usize,
+    },
+    /// The victim's empty-handed reply reaches the thief.
+    MigrateFailed { kind: MigrationKind, thief: usize },
     /// A multi-hop message finished hop `hop - 1` of the `from → to` route
     /// and enters hop `hop` now (its physical arrival time at that link —
     /// links are acquired causally, in arrival order).
@@ -158,7 +188,7 @@ enum Event {
 
 impl Event {
     /// Event-kind names for the profiling registry, indexed by
-    /// [`Event::kind_index`].
+    /// [`Event::kind_index`]. Each migration event keeps one name per kind.
     const KINDS: [&'static str; 16] = [
         "master_step",
         "descriptor_arrive",
@@ -189,12 +219,9 @@ impl Event {
             Event::WorkerFree { .. } => 6,
             Event::Retired { .. } => 7,
             Event::MasterSawRetire { .. } => 8,
-            Event::StealRequest { .. } => 9,
-            Event::StolenArrive { .. } => 10,
-            Event::StealFailed { .. } => 11,
-            Event::ReclaimRequest { .. } => 12,
-            Event::ReclaimedArrive { .. } => 13,
-            Event::ReclaimFailed { .. } => 14,
+            Event::MigrateRequest { kind, .. } => 9 + 3 * kind.index(),
+            Event::MigratedArrive { kind, .. } => 10 + 3 * kind.index(),
+            Event::MigrateFailed { kind, .. } => 11 + 3 * kind.index(),
             Event::Relay { .. } => 15,
         }
     }
@@ -246,18 +273,41 @@ enum Deliver {
         task: TaskId,
         load: Option<(usize, LoadView)>,
     },
-    /// Becomes [`Event::StealRequest`].
-    StealRequest { thief: usize, victim: usize },
-    /// Becomes [`Event::StolenArrive`].
-    Stolen { node: usize, idx: usize },
-    /// Becomes [`Event::StealFailed`].
-    StealFailed { thief: usize },
-    /// Becomes [`Event::ReclaimRequest`].
-    ReclaimRequest { thief: usize, victim: usize },
-    /// Becomes [`Event::ReclaimedArrive`].
-    Reclaimed { node: usize, idx: usize },
-    /// Becomes [`Event::ReclaimFailed`].
-    ReclaimFailed { thief: usize },
+    /// Becomes [`Event::MigrateRequest`].
+    MigrateRequest {
+        kind: MigrationKind,
+        thief: usize,
+        victim: usize,
+    },
+    /// Becomes [`Event::MigratedArrive`].
+    Migrated {
+        kind: MigrationKind,
+        node: usize,
+        idx: usize,
+    },
+    /// Becomes [`Event::MigrateFailed`].
+    MigrateFailed { kind: MigrationKind, thief: usize },
+}
+
+impl Deliver {
+    fn into_event(self) -> Event {
+        match self {
+            Deliver::Descriptor { node, idx } => Event::DescriptorArrive { node, idx },
+            Deliver::Notify { idx } => Event::NotifyArrive { idx },
+            Deliver::MasterRetire { task, load } => Event::MasterSawRetire { task, load },
+            Deliver::MigrateRequest {
+                kind,
+                thief,
+                victim,
+            } => Event::MigrateRequest {
+                kind,
+                thief,
+                victim,
+            },
+            Deliver::Migrated { kind, node, idx } => Event::MigratedArrive { kind, node, idx },
+            Deliver::MigrateFailed { kind, thief } => Event::MigrateFailed { kind, thief },
+        }
+    }
 }
 
 /// Task-id → submission-index lookup. Traces built by the generators assign
@@ -298,25 +348,10 @@ impl IdMap {
     }
 }
 
-impl Deliver {
-    fn into_event(self) -> Event {
-        match self {
-            Deliver::Descriptor { node, idx } => Event::DescriptorArrive { node, idx },
-            Deliver::Notify { idx } => Event::NotifyArrive { idx },
-            Deliver::MasterRetire { task, load } => Event::MasterSawRetire { task, load },
-            Deliver::StealRequest { thief, victim } => Event::StealRequest { thief, victim },
-            Deliver::Stolen { node, idx } => Event::StolenArrive { node, idx },
-            Deliver::StealFailed { thief } => Event::StealFailed { thief },
-            Deliver::ReclaimRequest { thief, victim } => Event::ReclaimRequest { thief, victim },
-            Deliver::Reclaimed { node, idx } => Event::ReclaimedArrive { node, idx },
-            Deliver::ReclaimFailed { thief } => Event::ReclaimFailed { thief },
-        }
-    }
-}
-
 /// Per-task routing and cross-node dependency bookkeeping.
 struct TaskMeta {
-    /// The task's current home node (placement decision, updated on steal).
+    /// The task's current home node (placement decision, updated on
+    /// migration).
     home: usize,
     /// Indices (into submission order) of *all* distinct last-writer
     /// producers.
@@ -335,7 +370,7 @@ struct TaskMeta {
 
 /// Open-loop bookkeeping threaded through the event loop by the streaming
 /// entry point ([`ClusterDriver::run_streaming`]). With `gated == false`
-/// (closed-loop source) it performs *no* gating or steal capping — only
+/// (closed-loop source) it performs *no* gating or migration capping — only
 /// latency/occupancy accounting on the side — so the event flow stays
 /// bit-identical to [`ClusterDriver::run`]. With `gated == true` the master's
 /// submissions are released at their overlay arrival times, shifted by the
@@ -445,7 +480,7 @@ impl FlowState {
     }
 
     /// A descriptor left `node`'s admission domain (handed to the manager or
-    /// stolen away); wakes the master if it was blocked on this node.
+    /// migrated away); wakes the master if it was blocked on this node.
     fn on_slot_freed(&mut self, node: usize, now: SimTime, queue: &mut EventQueue<Event>) {
         self.admitted[node] -= 1;
         if self.blocked_on == Some(node) && self.admitted[node] < self.depth {
@@ -454,11 +489,31 @@ impl FlowState {
         }
     }
 
-    /// A stolen descriptor entered the thief's admission domain. (No gating:
-    /// the steal path sizes its batch against the bound before granting.)
-    fn note_steal_in(&mut self, thief: usize) {
+    /// A migrated descriptor entered the thief's admission domain. (No
+    /// gating: the grant sizes its batch against the bound.)
+    fn note_migrated_in(&mut self, thief: usize) {
         self.admitted[thief] += 1;
         self.max_admitted = self.max_admitted.max(self.admitted[thief]);
+    }
+}
+
+/// A thief's state for one migration kind.
+#[derive(Debug, Default, Clone, Copy)]
+struct MigrationState {
+    /// A request is in flight from this node (unresolved at the victim).
+    inflight: bool,
+    /// Descriptors granted to this node and still crossing the link. The
+    /// node does not issue further requests until the whole batch landed.
+    incoming: usize,
+    /// Last time an attempt came back empty-handed (suppresses immediate
+    /// same-timestamp retries, which would loop forever on ideal links).
+    last_fail: Option<SimTime>,
+}
+
+impl MigrationState {
+    /// No request and no granted batch in flight.
+    fn quiet(&self) -> bool {
+        !self.inflight && self.incoming == 0
     }
 }
 
@@ -484,29 +539,15 @@ struct NodeState<M> {
     last_accounting: SimTime,
     makespan: SimTime,
     max_pending: usize,
-    /// A steal request is in flight from this node (unresolved at the victim).
-    steal_inflight: bool,
-    /// Stolen descriptors granted to this node and still crossing the link.
-    /// The node does not issue further requests until the whole batch landed.
-    incoming_steals: usize,
-    /// Last time a steal attempt came back empty-handed (suppresses immediate
-    /// same-timestamp retries, which would loop forever on ideal links).
-    last_steal_fail: Option<SimTime>,
-    /// Reclaimed descriptors parked at this node until their last producer
-    /// notification arrives. They are dependence-blocked by construction and
-    /// must *not* enter `pending`: a consumer queued ahead of its own
-    /// reclaimed producer would deadlock the FIFO, and in-flight races make
-    /// any grant-time ordering guarantee unsound. Unparked to the *front* of
-    /// `pending` the moment they resolve (the stolen-descriptor rule).
+    /// Migrated descriptors parked at this node until their last producer
+    /// notification arrives. They are dependence-blocked and must *not*
+    /// enter `pending`: a consumer queued ahead of its own migrated producer
+    /// would deadlock the FIFO, and in-flight races make any grant-time
+    /// ordering guarantee unsound. Unparked to the *front* of `pending` the
+    /// moment they resolve.
     parked: Vec<usize>,
-    /// A reclaim request is in flight from this node.
-    reclaim_inflight: bool,
-    /// Reclaimed descriptors granted to this node and still crossing the
-    /// link. The node does not issue further requests until all landed.
-    incoming_reclaims: usize,
-    /// Last time a reclaim attempt came back empty-handed (same
-    /// ideal-link-livelock guard as `last_steal_fail`).
-    last_reclaim_fail: Option<SimTime>,
+    /// This node's thief-side state per [`MigrationKind`].
+    migration: [MigrationState; 2],
 }
 
 impl<M> NodeState<M> {
@@ -521,7 +562,7 @@ impl<M> NodeState<M> {
     }
 
     /// The node's live load digest at `now`. `pending` counts parked
-    /// (reclaimed, still-blocked) descriptors too: they occupy the node
+    /// (migrated, still-blocked) descriptors too: they occupy the node
     /// exactly like queued ones as far as a remote placement is concerned.
     fn digest(&self, now: SimTime) -> LoadView {
         let held = (self.pending.len() + self.parked.len()) as u64;
@@ -531,6 +572,28 @@ impl<M> NodeState<M> {
             retired: self.retired,
             updated_at: now.as_ps(),
         }
+    }
+
+    /// True if the node may issue a `kind` request right now: free workers,
+    /// nothing ready, nothing pending, no request or granted batch of that
+    /// kind in flight, and no failed attempt at this very timestamp. A
+    /// reclaim additionally needs nothing parked and no steal in flight —
+    /// imported eligible work is strictly cheaper than imported blocked work.
+    fn may_migrate(&self, kind: MigrationKind, now: SimTime) -> bool {
+        let state = self.migration[kind.index()];
+        state.quiet()
+            && state.last_fail != Some(now)
+            && self.pool.free() > 0
+            && self.pool.queued() == 0
+            && self.pending.is_empty()
+            && (kind == MigrationKind::Steal
+                || (self.parked.is_empty() && self.migration[MigrationKind::Steal.index()].quiet()))
+    }
+
+    /// Queues a now-eligible descriptor at the front of the input queue.
+    fn push_front(&mut self, idx: usize) {
+        self.pending.push_front(idx);
+        self.max_pending = self.max_pending.max(self.pending.len());
     }
 }
 
@@ -572,12 +635,6 @@ pub struct ClusterDriver<M> {
     cfg: ClusterConfig,
     nodes: Vec<NodeState<M>>,
     net: Interconnect,
-    steals: u64,
-    steal_grants: u64,
-    steal_failures: u64,
-    reclaims: u64,
-    reclaim_grants: u64,
-    reclaim_failures: u64,
 }
 
 impl<M: TaskManager> ClusterDriver<M> {
@@ -628,25 +685,14 @@ impl<M: TaskManager> ClusterDriver<M> {
                 last_accounting: SimTime::ZERO,
                 makespan: SimTime::ZERO,
                 max_pending: 0,
-                steal_inflight: false,
-                incoming_steals: 0,
-                last_steal_fail: None,
                 parked: Vec::new(),
-                reclaim_inflight: false,
-                incoming_reclaims: 0,
-                last_reclaim_fail: None,
+                migration: Default::default(),
             })
             .collect();
         ClusterDriver {
             cfg: *cfg,
             nodes,
             net: Interconnect::with_fabric(fabric),
-            steals: 0,
-            steal_grants: 0,
-            steal_failures: 0,
-            reclaims: 0,
-            reclaim_grants: 0,
-            reclaim_failures: 0,
         }
     }
 
@@ -725,11 +771,11 @@ impl<M: TaskManager> ClusterDriver<M> {
         self.run_streaming_inner(trace, source, Some(rec))
     }
 
-    fn run_streaming_inner(
+    fn run_streaming_inner<'a>(
         self,
-        trace: &Trace,
+        trace: &'a Trace,
         source: &StreamingSource,
-        rec: Option<&mut dyn Recorder>,
+        rec: Option<&'a mut dyn Recorder>,
     ) -> StreamOutcome {
         let tasks = trace.task_count();
         let nodes = self.cfg.nodes;
@@ -759,52 +805,137 @@ impl<M: TaskManager> ClusterDriver<M> {
         }
     }
 
-    /// The event loop shared by [`ClusterDriver::run`] (`flow == None`) and
+    /// The run shared by [`ClusterDriver::run`] (`flow == None`) and
     /// [`ClusterDriver::run_streaming`]. With `flow == None` every flow hook
     /// compiles to a no-op check, keeping the closed-loop path untouched; the
     /// same holds for `rec` (span tracing) and `prof` (event-loop profiling),
     /// each a single `Option` branch when disabled.
-    fn run_inner(
-        mut self,
-        trace: &Trace,
-        mut flow: Option<FlowState>,
-        mut rec: Option<&mut dyn Recorder>,
-        mut prof: Option<&mut EngineProf>,
+    fn run_inner<'a>(
+        self,
+        trace: &'a Trace,
+        flow: Option<FlowState>,
+        rec: Option<&'a mut dyn Recorder>,
+        prof: Option<&'a mut EngineProf>,
     ) -> (ClusterOutcome, Option<FlowState>) {
+        let mut run = Run::new(self, trace, flow, rec, prof);
+        run.event_loop();
+        run.finish()
+    }
+}
+
+/// Deterministic tallies of one migration kind.
+#[derive(Debug, Default, Clone, Copy)]
+struct MigrationCounts {
+    /// Descriptors moved.
+    moved: u64,
+    /// Requests answered with a non-empty batch.
+    grants: u64,
+    /// Requests answered empty-handed.
+    failures: u64,
+}
+
+/// Everything one run of the event loop owns: the cluster taken out of the
+/// [`ClusterDriver`], the trace's routing metadata, the event queue, the
+/// optional flow, recorder and profile hooks, and the run's tallies. The
+/// event handlers are its methods.
+struct Run<'a, M> {
+    cfg: ClusterConfig,
+    trace: &'a Trace,
+    edges: EdgeStats,
+    flow: Option<FlowState>,
+    rec: Option<&'a mut dyn Recorder>,
+    prof: Option<&'a mut EngineProf>,
+    supports_taskwait_on: bool,
+    /// Which [`MigrationKind`]s issue requests after every event.
+    migrating: [bool; 2],
+    feedback: FeedbackKind,
+    notifications: u64,
+    migrations: [MigrationCounts; 2],
+    events_processed: u64,
+    inline_coalesced: u64,
+    makespan: SimTime,
+    // Fields drop in declaration order: the per-run tables below are freed
+    // newest first and before the cluster they were built for, which keeps
+    // the allocator's footprint flat across back-to-back runs.
+    /// Submit-time re-placement's placed-load board (`place` mode). Unlike
+    /// the pre-pass board (charged at static homes during `analyze`), tasks
+    /// are charged to their *final* home at commit time.
+    placed_loads: Vec<PlacedLoad>,
+    /// The live-load tracker only exists while a feedback consumer is
+    /// active, so the off path computes no digests and stays bit-identical
+    /// to the static behaviour (same pattern as `flow`/`rec`/`prof`).
+    tracker: Option<LoadTracker>,
+    policy: Box<dyn StealPolicy>,
+    master: MasterSm,
+    /// Reused buffer for draining manager notifications.
+    scratch: Vec<ManagerEvent>,
+    queue: EventQueue<Event>,
+    metas: Vec<TaskMeta>,
+    /// The fabric's distance matrix (static; cloned out of the interconnect
+    /// so the policies can consult it while messages are sent).
+    distances: DistanceMatrix,
+    durations: Vec<SimDuration>,
+    idx_of: IdMap,
+    tasks: Vec<&'a TaskDescriptor>,
+    nodes: Vec<NodeState<M>>,
+    net: Interconnect,
+}
+
+impl<'a, M: TaskManager> Run<'a, M> {
+    fn new(
+        driver: ClusterDriver<M>,
+        trace: &'a Trace,
+        flow: Option<FlowState>,
+        rec: Option<&'a mut dyn Recorder>,
+        prof: Option<&'a mut EngineProf>,
+    ) -> Self {
+        let ClusterDriver { cfg, nodes, net } = driver;
         let tasks: Vec<&TaskDescriptor> = trace.tasks().collect();
         let idx_of = IdMap::build(&tasks);
-        let durations: Vec<SimDuration> = tasks.iter().map(|t| t.duration).collect();
-        // The fabric's distance matrix is static; clone it out of the
-        // interconnect so the steal path can consult it while sending.
-        let distances = self.net.distances().clone();
-        let (mut metas, edges) = self.analyze(&tasks, &distances);
+        let durations = tasks.iter().map(|t| t.duration).collect();
+        let distances = net.distances().clone();
+        let (metas, edges) = analyze(&cfg, &tasks, &distances);
+        let feedback = cfg.feedback;
+        Run {
+            queue: EventQueue::with_engine(cfg.engine),
+            scratch: Vec::new(),
+            master: MasterSm::new(),
+            supports_taskwait_on: nodes[0].manager.supports_taskwait_on(),
+            policy: cfg.stealing.build(),
+            migrating: [cfg.stealing.is_enabled(), feedback.reclaim_enabled()],
+            feedback,
+            tracker: feedback.is_enabled().then(|| LoadTracker::new(cfg.nodes)),
+            placed_loads: vec![PlacedLoad::default(); cfg.nodes],
+            notifications: 0,
+            migrations: Default::default(),
+            events_processed: 0,
+            inline_coalesced: 0,
+            makespan: SimTime::ZERO,
+            cfg,
+            nodes,
+            net,
+            trace,
+            tasks,
+            idx_of,
+            durations,
+            distances,
+            metas,
+            edges,
+            flow,
+            rec,
+            prof,
+        }
+    }
 
-        let mut queue: EventQueue<Event> = EventQueue::with_engine(self.cfg.engine);
-        let mut scratch: Vec<ManagerEvent> = Vec::new();
-        let mut master = MasterSm::new();
-        let mut steal_policy: Box<dyn StealPolicy> = self.cfg.stealing.build();
-        let steal_enabled = self.cfg.stealing.is_enabled();
-        let feedback: FeedbackKind = self.cfg.feedback;
-        let reclaim_enabled = feedback.reclaim_enabled();
-        // The live-load tracker only exists while a feedback consumer is
-        // active, so the off path computes no digests and stays bit-identical
-        // to the static behaviour (same pattern as `flow`/`rec`/`prof`).
-        let mut tracker: Option<LoadTracker> = feedback
-            .is_enabled()
-            .then(|| LoadTracker::new(self.cfg.nodes));
-        // Submit-time re-placement state (`place` mode): the live policy plus
-        // an incrementally maintained placed-load board. Unlike the pre-pass
-        // board (charged at static homes during `analyze`), tasks are charged
-        // to their *final* home at commit time.
-        let mut place_live = FeedbackPlacement;
-        let mut placed_loads: Vec<PlacedLoad> = vec![PlacedLoad::default(); self.cfg.nodes];
-        let supports_taskwait_on = self.nodes[0].manager.supports_taskwait_on();
-        let mut notifications: u64 = 0;
-        let mut makespan = SimTime::ZERO;
-        let mut events_processed: u64 = 0;
+    fn record(&mut self, now: SimTime, event: SpanEvent) {
+        if let Some(r) = self.rec.as_mut() {
+            r.record(now.as_ps(), event);
+        }
+    }
 
-        queue.schedule(SimTime::ZERO, Event::MasterStep);
-
+    /// Pops and handles events until the queue runs dry.
+    fn event_loop(&mut self) {
+        self.queue.schedule(SimTime::ZERO, Event::MasterStep);
         // Back-to-back link-relay coalescing: when a relay's continuation is
         // provably the next event to pop (strictly smaller `(time, seq)` key
         // than the queue minimum, under a seq reserved at the exact position a
@@ -812,591 +943,689 @@ impl<M: TaskManager> ClusterDriver<M> {
         // iteration directly, skipping one queue round-trip per hop without
         // perturbing the deterministic event order.
         let mut inline_next: Option<TimedEvent<Event>> = None;
-        let mut inline_coalesced: u64 = 0;
         loop {
             let ev = match inline_next.take() {
                 Some(ev) => {
-                    inline_coalesced += 1;
+                    self.inline_coalesced += 1;
                     ev
                 }
-                None => match queue.pop() {
+                None => match self.queue.pop() {
                     Some(ev) => ev,
                     None => break,
                 },
             };
             let now = ev.time;
-            makespan = makespan.max(now);
-            events_processed += 1;
+            self.makespan = self.makespan.max(now);
+            self.events_processed += 1;
             // Profiling samples the wall clock only when a profile is
             // attached; the disabled path is one `Option` check per event.
-            let prof_start = prof
+            let prof_start = self
+                .prof
                 .as_ref()
                 .map(|_| (Instant::now(), ev.payload.kind_index()));
-            if events_processed > self.cfg.max_events {
+            if self.events_processed > self.cfg.max_events {
                 panic!(
                     "cluster simulation exceeded {} events on {}",
-                    self.cfg.max_events, trace.name
+                    self.cfg.max_events, self.trace.name
                 );
             }
-
-            // Set by the Relay arm; resolved after the post-event steal scan
-            // (which may schedule earlier events and veto the inline).
-            let mut pending_inline: Option<TimedEvent<Event>> = None;
-
-            match ev.payload {
-                Event::MasterStep => {
-                    match master.step(trace, now, supports_taskwait_on) {
-                        MasterStep::Submit(task) => {
-                            let idx = idx_of.idx(task.id);
-                            if feedback.place_enabled() {
-                                if let Some(tr) = tracker.as_ref() {
-                                    // Live re-placement: the pre-pass home was
-                                    // chosen before any runtime load existed;
-                                    // re-decide against the decayed digests.
-                                    // Producers may themselves have moved
-                                    // (re-placed, stolen or reclaimed), so the
-                                    // remote-producer set and the outstanding
-                                    // notification count are recomputed from
-                                    // the producers' *current* homes — a
-                                    // producer that already subscribed this
-                                    // task keeps exactly one subscription.
-                                    let producer_homes: Vec<usize> = metas[idx]
-                                        .producers
-                                        .iter()
-                                        .map(|&p| metas[p].home)
-                                        .collect();
-                                    let home = place_live.place(
-                                        tasks[idx],
-                                        &PlacementCtx {
-                                            nodes: self.cfg.nodes,
-                                            loads: &placed_loads,
-                                            producer_homes: &producer_homes,
-                                            distances: Some(&distances),
-                                            live: Some(tr.live(now.as_ps())),
-                                        },
-                                    );
-                                    metas[idx].home = home;
-                                    let producers = std::mem::take(&mut metas[idx].producers);
-                                    let mut remaining = 0;
-                                    let mut remote = Vec::new();
-                                    for &p in &producers {
-                                        if metas[p].subscribers.contains(&idx) {
-                                            remaining += 1;
-                                        } else if metas[p].home != home {
-                                            remote.push(p);
-                                        }
-                                    }
-                                    remaining += remote.len();
-                                    metas[idx].producers = producers;
-                                    metas[idx].remote_producers = remote;
-                                    metas[idx].remaining_remote = remaining;
-                                }
-                            }
-                            let home = metas[idx].home;
-                            // An open-loop source may defer the submission
-                            // (future arrival time or full admission queue);
-                            // the cursor stays put and the same submit is
-                            // re-offered on the next master step.
-                            let deferred = match flow.as_mut() {
-                                None => false,
-                                Some(fs) => {
-                                    let bp_before = fs.backpressure_events;
-                                    let d = fs.gate_submit(home, idx, now, &mut queue);
-                                    if fs.backpressure_events > bp_before {
-                                        if let Some(r) = rec.as_mut() {
-                                            r.record(
-                                                now.as_ps(),
-                                                SpanEvent::Backpressure { node: home },
-                                            );
-                                        }
-                                    }
-                                    d
-                                }
-                            };
-                            if !deferred {
-                                master.commit_submit(task, now);
-                                if feedback.place_enabled() {
-                                    placed_loads[home].tasks += 1;
-                                    placed_loads[home].work += tasks[idx].duration;
-                                }
-                                if let Some(fs) = flow.as_mut() {
-                                    fs.note_submit(home, idx, now);
-                                }
-                                if let Some(r) = rec.as_mut() {
-                                    r.record(now.as_ps(), SpanEvent::Submitted { task: idx });
-                                    r.record(
-                                        now.as_ps(),
-                                        SpanEvent::Placed {
-                                            task: idx,
-                                            node: home,
-                                        },
-                                    );
-                                }
-                                // Forward the descriptor to its home node.
-                                let sender_free = self.send_msg(
-                                    0,
-                                    home,
-                                    task.transfer_words(),
-                                    now,
-                                    Deliver::Descriptor { node: home, idx },
-                                    &mut queue,
-                                    &mut rec,
-                                );
-                                // Subscribe to (or directly forward) the
-                                // remote dependency notifications the task
-                                // needs. The producer list is moved out and
-                                // restored (a task is never its own producer)
-                                // to keep the hot path free of per-submit
-                                // clones.
-                                let producers = std::mem::take(&mut metas[idx].remote_producers);
-                                for &p in &producers {
-                                    match metas[p].retired_at {
-                                        Some(_) => {
-                                            let ph = metas[p].home;
-                                            self.send_msg(
-                                                ph,
-                                                home,
-                                                NOTIFY_WORDS,
-                                                now,
-                                                Deliver::Notify { idx },
-                                                &mut queue,
-                                                &mut rec,
-                                            );
-                                            notifications += 1;
-                                        }
-                                        None => metas[p].subscribers.push(idx),
-                                    }
-                                }
-                                metas[idx].remote_producers = producers;
-                                queue.schedule(sender_free.max(now), Event::MasterStep);
-                            }
-                        }
-                        MasterStep::Compute(d) => {
-                            queue.schedule(now + d, Event::MasterStep);
-                        }
-                        MasterStep::Continue => {
-                            queue.schedule(now, Event::MasterStep);
-                        }
-                        MasterStep::Waiting | MasterStep::Done => {}
-                    }
+            // A relay's continuation is resolved after the post-event
+            // migration scan (which may schedule earlier events and veto the
+            // inline).
+            let relayed = self.handle(ev.payload, now);
+            for kind in MigrationKind::ALL {
+                if self.migrating[kind.index()] {
+                    self.try_migrate(kind, now);
                 }
-
-                Event::DescriptorArrive { node, idx } => {
-                    let n = &mut self.nodes[node];
-                    n.touch(now);
-                    n.outstanding += 1;
-                    n.pending.push_back(idx);
-                    n.max_pending = n.max_pending.max(n.pending.len());
-                    self.pump(
-                        node,
-                        now,
-                        &metas,
-                        &tasks,
-                        &mut queue,
-                        &mut scratch,
-                        &mut flow,
-                        &mut rec,
-                    );
-                }
-
-                Event::NotifyArrive { idx } => {
-                    let meta = &mut metas[idx];
-                    meta.remaining_remote -= 1;
-                    let home = meta.home;
-                    let resolved = meta.remaining_remote == 0;
-                    self.nodes[home].touch(now);
-                    if resolved {
-                        // A parked reclaimed descriptor resolves on its last
-                        // producer notification: it enters the queue at the
-                        // *front*, exactly like a stolen descriptor (fully
-                        // resolved by construction). No-op unless reclamation
-                        // actually parked something here.
-                        let n = &mut self.nodes[home];
-                        if let Some(pos) = n.parked.iter().position(|&i| i == idx) {
-                            n.parked.swap_remove(pos);
-                            debug_assert!(
-                                Self::eligible(&metas, idx),
-                                "unparked task {idx} still has unretired producers"
-                            );
-                            let n = &mut self.nodes[home];
-                            n.pending.push_front(idx);
-                            n.max_pending = n.max_pending.max(n.pending.len());
-                        }
-                    }
-                    self.pump(
-                        home,
-                        now,
-                        &metas,
-                        &tasks,
-                        &mut queue,
-                        &mut scratch,
-                        &mut flow,
-                        &mut rec,
-                    );
-                }
-
-                Event::Pump { node } => {
-                    let n = &mut self.nodes[node];
-                    n.pump_queued = false;
-                    n.touch(now);
-                    self.pump(
-                        node,
-                        now,
-                        &metas,
-                        &tasks,
-                        &mut queue,
-                        &mut scratch,
-                        &mut flow,
-                        &mut rec,
-                    );
-                }
-
-                Event::Ready { node, task } => {
-                    let n = &mut self.nodes[node];
-                    n.touch(now);
-                    n.pool.enqueue(task);
-                    Self::dispatch(
-                        n,
-                        node,
-                        now,
-                        &idx_of,
-                        &durations,
-                        &mut queue,
-                        &mut scratch,
-                        &mut rec,
-                    );
-                }
-
-                Event::WorkerFinish { node, task, worker } => {
-                    let n = &mut self.nodes[node];
-                    n.touch(now);
-                    n.executed += 1;
-                    let free_at = n.manager.finish(task, now);
-                    Self::drain(n, node, now, &mut queue, &mut scratch);
-                    queue.schedule(free_at.max(now), Event::WorkerFree { node, worker });
-                }
-
-                Event::WorkerFree { node, worker } => {
-                    let n = &mut self.nodes[node];
-                    n.touch(now);
-                    n.pool.release(worker);
-                    Self::dispatch(
-                        n,
-                        node,
-                        now,
-                        &idx_of,
-                        &durations,
-                        &mut queue,
-                        &mut scratch,
-                        &mut rec,
-                    );
-                }
-
-                Event::Retired { node, task } => {
-                    let n = &mut self.nodes[node];
-                    n.touch(now);
-                    n.retired += 1;
-                    n.outstanding -= 1;
-                    let idx = idx_of.idx(task);
-                    n.total_work += durations[idx];
-                    metas[idx].retired_at = Some(now);
-                    if let Some(fs) = flow.as_mut() {
-                        fs.latencies[idx] = now.since(fs.submitted_at[idx]);
-                    }
-                    if let Some(r) = rec.as_mut() {
-                        r.record(now.as_ps(), SpanEvent::Retired { task: idx, node });
-                    }
-                    // Forward the retirement to every subscribed consumer…
-                    for sub in std::mem::take(&mut metas[idx].subscribers) {
-                        let home = metas[sub].home;
-                        self.send_msg(
-                            node,
-                            home,
-                            NOTIFY_WORDS,
-                            now,
-                            Deliver::Notify { idx: sub },
-                            &mut queue,
-                            &mut rec,
-                        );
-                        notifications += 1;
-                    }
-                    // …and to the master (free if the task retired on node 0).
-                    // With feedback enabled the notification carries the
-                    // retiring node's load digest — same message, same words,
-                    // no extra traffic on the happy path.
-                    let load = tracker
-                        .as_ref()
-                        .map(|_| (node, self.nodes[node].digest(now)));
-                    self.send_msg(
-                        node,
-                        0,
-                        NOTIFY_WORDS,
-                        now,
-                        Deliver::MasterRetire { task, load },
-                        &mut queue,
-                        &mut rec,
-                    );
-                    // A task-pool slot may have been freed.
-                    self.pump(
-                        node,
-                        now,
-                        &metas,
-                        &tasks,
-                        &mut queue,
-                        &mut scratch,
-                        &mut flow,
-                        &mut rec,
-                    );
-                }
-
-                Event::MasterSawRetire { task, load } => {
-                    if let Some((node, view)) = load {
-                        if let Some(tr) = tracker.as_mut() {
-                            tr.observe(node, view);
-                        }
-                    }
-                    if master.on_retired(task, now) {
-                        queue.schedule(now, Event::MasterStep);
-                    }
-                }
-
-                Event::StealRequest { thief, victim } => {
-                    self.grant_steal(
-                        thief,
-                        victim,
-                        now,
-                        steal_policy.as_ref(),
-                        &mut metas,
-                        &tasks,
-                        &mut queue,
-                        &mut flow,
-                        &mut rec,
-                    );
-                }
-
-                Event::StolenArrive { node, idx } => {
-                    let n = &mut self.nodes[node];
-                    debug_assert!(
-                        n.incoming_steals > 0,
-                        "StolenArrive at node {node} without an outstanding steal grant"
-                    );
-                    n.incoming_steals = n
-                        .incoming_steals
-                        .checked_sub(1)
-                        .expect("steal accounting underflow: StolenArrive without a grant");
-                    n.touch(now);
-                    n.outstanding += 1;
-                    // Stolen descriptors enter at the FRONT: they are fully
-                    // resolved by construction (eligibility) and the thief
-                    // stole them to run *now*. Queueing them behind the
-                    // thief's own blocked head would break the topological
-                    // order of the per-node FIFO queues — an early-order
-                    // stolen task stuck behind a later blocked head can close
-                    // a cross-node head-of-line dependency cycle (deadlock).
-                    n.pending.push_front(idx);
-                    n.max_pending = n.max_pending.max(n.pending.len());
-                    self.pump(
-                        node,
-                        now,
-                        &metas,
-                        &tasks,
-                        &mut queue,
-                        &mut scratch,
-                        &mut flow,
-                        &mut rec,
-                    );
-                }
-
-                Event::StealFailed { thief } => {
-                    let n = &mut self.nodes[thief];
-                    n.steal_inflight = false;
-                    n.last_steal_fail = Some(now);
-                    n.touch(now);
-                }
-
-                Event::ReclaimRequest { thief, victim } => {
-                    self.grant_reclaim(
-                        thief,
-                        victim,
-                        now,
-                        steal_policy.as_ref(),
-                        &mut metas,
-                        &tasks,
-                        &mut queue,
-                        &mut flow,
-                        &mut rec,
-                    );
-                }
-
-                Event::ReclaimedArrive { node, idx } => {
-                    {
-                        let n = &mut self.nodes[node];
-                        debug_assert!(
-                            n.incoming_reclaims > 0,
-                            "ReclaimedArrive at node {node} without an outstanding grant"
-                        );
-                        n.incoming_reclaims = n
-                            .incoming_reclaims
-                            .checked_sub(1)
-                            .expect("reclaim accounting underflow: arrival without a grant");
-                        n.touch(now);
-                        n.outstanding += 1;
-                    }
-                    if Self::eligible(&metas, idx) {
-                        // Every blocker resolved while the descriptor crossed
-                        // the link: it is fully resolved now and takes the
-                        // stolen-descriptor fast path to the queue front.
-                        let n = &mut self.nodes[node];
-                        n.pending.push_front(idx);
-                        n.max_pending = n.max_pending.max(n.pending.len());
-                        self.pump(
-                            node,
-                            now,
-                            &metas,
-                            &tasks,
-                            &mut queue,
-                            &mut scratch,
-                            &mut flow,
-                            &mut rec,
-                        );
-                    } else {
-                        // Still blocked: park it outside the FIFO until its
-                        // last producer notification lands (`NotifyArrive`).
-                        self.nodes[node].parked.push(idx);
-                    }
-                }
-
-                Event::ReclaimFailed { thief } => {
-                    let n = &mut self.nodes[thief];
-                    n.reclaim_inflight = false;
-                    n.last_reclaim_fail = Some(now);
-                    n.touch(now);
-                }
-
-                Event::Relay {
-                    from,
-                    to,
-                    hop,
-                    words,
-                    then,
-                } => {
-                    if let Some(r) = rec.as_mut() {
-                        let (link, tier) = self.net.hop_link(from, to, hop);
-                        r.record(now.as_ps(), SpanEvent::LinkHop { link, tier, words });
-                    }
-                    let d = self.net.send_hop(from, to, hop, words, now);
-                    let payload = if hop + 1 == self.net.hops(from, to) {
-                        then.into_event()
-                    } else {
-                        Event::Relay {
-                            from,
-                            to,
-                            hop: hop + 1,
-                            words,
-                            then,
-                        }
-                    };
-                    // Reserve the seq a plain `schedule` would assign, but
-                    // defer the enqueue: if the continuation is still the
-                    // queue minimum after the steal scan it short-circuits
-                    // into the next iteration (see `inline_next`).
-                    pending_inline = Some(TimedEvent {
-                        time: d.delivered,
-                        seq: queue.reserve_seq(),
-                        payload,
-                    });
-                }
-            }
-
-            if steal_enabled {
-                self.try_steals(
-                    now,
-                    &metas,
-                    &distances,
-                    steal_policy.as_mut(),
-                    &mut queue,
-                    &mut rec,
-                );
-            }
-            if reclaim_enabled {
-                // After the steal scan on purpose: a node that just issued a
-                // steal request (eligible work, strictly cheaper to import)
-                // sits out of the reclaim round.
-                self.try_reclaims(
-                    now,
-                    &metas,
-                    &distances,
-                    tracker.as_ref(),
-                    steal_policy.as_mut(),
-                    &mut queue,
-                    &mut rec,
-                );
             }
             if let Some((t0, kind)) = prof_start {
-                if let Some(p) = prof.as_mut() {
+                if let Some(p) = self.prof.as_mut() {
                     p.note(kind, t0.elapsed().as_nanos() as u64);
                 }
             }
-            if let Some(te) = pending_inline.take() {
-                let beats_queue = queue.peek_key().is_none_or(|min| (te.time, te.seq) < min);
+            if let Some(te) = relayed {
+                let beats_queue = self
+                    .queue
+                    .peek_key()
+                    .is_none_or(|min| (te.time, te.seq) < min);
                 if beats_queue {
                     inline_next = Some(te);
                 } else {
-                    queue.schedule_at_seq(te.time, te.seq, te.payload);
+                    self.queue.schedule_at_seq(te.time, te.seq, te.payload);
                 }
             }
         }
+    }
 
+    /// Handles one event. A relay returns its continuation unscheduled (see
+    /// [`Run::event_loop`]).
+    fn handle(&mut self, ev: Event, now: SimTime) -> Option<TimedEvent<Event>> {
+        match ev {
+            Event::MasterStep => self.master_step(now),
+            Event::DescriptorArrive { node, idx } => {
+                let n = &mut self.nodes[node];
+                n.touch(now);
+                n.outstanding += 1;
+                n.pending.push_back(idx);
+                n.max_pending = n.max_pending.max(n.pending.len());
+                self.pump(node, now);
+            }
+            Event::NotifyArrive { idx } => {
+                let meta = &mut self.metas[idx];
+                meta.remaining_remote -= 1;
+                let home = meta.home;
+                let resolved = meta.remaining_remote == 0;
+                let n = &mut self.nodes[home];
+                n.touch(now);
+                // A parked migrated descriptor resolves on its last producer
+                // notification and enters the queue at the *front*. No-op
+                // unless a migration actually parked something here.
+                if resolved {
+                    if let Some(pos) = n.parked.iter().position(|&i| i == idx) {
+                        n.parked.swap_remove(pos);
+                        debug_assert!(
+                            eligible(&self.metas, idx),
+                            "unparked task {idx} still has unretired producers"
+                        );
+                        n.push_front(idx);
+                    }
+                }
+                self.pump(home, now);
+            }
+            Event::Pump { node } => {
+                let n = &mut self.nodes[node];
+                n.pump_queued = false;
+                n.touch(now);
+                self.pump(node, now);
+            }
+            Event::Ready { node, task } => {
+                let n = &mut self.nodes[node];
+                n.touch(now);
+                n.pool.enqueue(task);
+                self.dispatch(node, now);
+            }
+            Event::WorkerFinish { node, task, worker } => {
+                let n = &mut self.nodes[node];
+                n.touch(now);
+                n.executed += 1;
+                let free_at = n.manager.finish(task, now);
+                self.drain(node, now);
+                self.queue
+                    .schedule(free_at.max(now), Event::WorkerFree { node, worker });
+            }
+            Event::WorkerFree { node, worker } => {
+                let n = &mut self.nodes[node];
+                n.touch(now);
+                n.pool.release(worker);
+                self.dispatch(node, now);
+            }
+            Event::Retired { node, task } => self.retired(node, task, now),
+            Event::MasterSawRetire { task, load } => {
+                if let (Some((node, view)), Some(tr)) = (load, self.tracker.as_mut()) {
+                    tr.observe(node, view);
+                }
+                if self.master.on_retired(task, now) {
+                    self.queue.schedule(now, Event::MasterStep);
+                }
+            }
+            Event::MigrateRequest {
+                kind,
+                thief,
+                victim,
+            } => self.grant(kind, thief, victim, now),
+            Event::MigratedArrive { kind, node, idx } => self.migrated_arrive(kind, node, idx, now),
+            Event::MigrateFailed { kind, thief } => {
+                let n = &mut self.nodes[thief];
+                let state = &mut n.migration[kind.index()];
+                state.inflight = false;
+                state.last_fail = Some(now);
+                n.touch(now);
+            }
+            Event::Relay {
+                from,
+                to,
+                hop,
+                words,
+                then,
+            } => {
+                if self.rec.is_some() {
+                    let (link, tier) = self.net.hop_link(from, to, hop);
+                    self.record(now, SpanEvent::LinkHop { link, tier, words });
+                }
+                let d = self.net.send_hop(from, to, hop, words, now);
+                let payload = if hop + 1 == self.net.hops(from, to) {
+                    then.into_event()
+                } else {
+                    Event::Relay {
+                        from,
+                        to,
+                        hop: hop + 1,
+                        words,
+                        then,
+                    }
+                };
+                // Reserve the seq a plain `schedule` would assign, but defer
+                // the enqueue.
+                return Some(TimedEvent {
+                    time: d.delivered,
+                    seq: self.queue.reserve_seq(),
+                    payload,
+                });
+            }
+        }
+        None
+    }
+
+    /// The master executes its next trace operation.
+    fn master_step(&mut self, now: SimTime) {
+        let task = match self.master.step(self.trace, now, self.supports_taskwait_on) {
+            MasterStep::Submit(task) => task,
+            MasterStep::Compute(d) => return self.queue.schedule(now + d, Event::MasterStep),
+            MasterStep::Continue => return self.queue.schedule(now, Event::MasterStep),
+            MasterStep::Waiting | MasterStep::Done => return,
+        };
+        let idx = self.idx_of.idx(task.id);
+        if self.feedback.place_enabled() {
+            if let Some(tr) = self.tracker.as_ref() {
+                // Live re-placement: the pre-pass home was chosen before any
+                // runtime load existed; re-decide against the decayed
+                // digests. Producers may themselves have moved (re-placed or
+                // migrated), so the remote-producer set and the outstanding
+                // notification count are recomputed from the producers'
+                // *current* homes — a producer that already subscribed this
+                // task keeps exactly one subscription.
+                let metas = &mut self.metas;
+                let producer_homes: Vec<usize> = metas[idx]
+                    .producers
+                    .iter()
+                    .map(|&p| metas[p].home)
+                    .collect();
+                let home = FeedbackPlacement.place(
+                    self.tasks[idx],
+                    &PlacementCtx {
+                        nodes: self.cfg.nodes,
+                        loads: &self.placed_loads,
+                        producer_homes: &producer_homes,
+                        distances: Some(&self.distances),
+                        live: Some(tr.live(now.as_ps())),
+                    },
+                );
+                metas[idx].home = home;
+                let mut remaining = 0;
+                let mut remote = Vec::new();
+                for &p in &metas[idx].producers {
+                    if metas[p].subscribers.contains(&idx) {
+                        remaining += 1;
+                    } else if metas[p].home != home {
+                        remote.push(p);
+                    }
+                }
+                remaining += remote.len();
+                metas[idx].remote_producers = remote;
+                metas[idx].remaining_remote = remaining;
+            }
+        }
+        let home = self.metas[idx].home;
+        // An open-loop source may defer the submission (future arrival time
+        // or full admission queue); the cursor stays put and the same submit
+        // is re-offered on the next master step.
+        if let Some(fs) = self.flow.as_mut() {
+            let bp_before = fs.backpressure_events;
+            let deferred = fs.gate_submit(home, idx, now, &mut self.queue);
+            if fs.backpressure_events > bp_before {
+                self.record(now, SpanEvent::Backpressure { node: home });
+            }
+            if deferred {
+                return;
+            }
+        }
+        self.master.commit_submit(task, now);
+        if self.feedback.place_enabled() {
+            self.placed_loads[home].tasks += 1;
+            self.placed_loads[home].work += task.duration;
+        }
+        if let Some(fs) = self.flow.as_mut() {
+            fs.note_submit(home, idx, now);
+        }
+        self.record(now, SpanEvent::Submitted { task: idx });
+        self.record(
+            now,
+            SpanEvent::Placed {
+                task: idx,
+                node: home,
+            },
+        );
+        // Forward the descriptor to its home node.
+        let words = task.transfer_words();
+        let sender_free =
+            self.send_msg(0, home, words, now, Deliver::Descriptor { node: home, idx });
+        // Subscribe to (or directly forward) the remote dependency
+        // notifications the task needs. The producer list is moved out and
+        // restored (a task is never its own producer) to keep the hot path
+        // free of per-submit clones.
+        let producers = std::mem::take(&mut self.metas[idx].remote_producers);
+        for &p in &producers {
+            match self.metas[p].retired_at {
+                Some(_) => {
+                    let ph = self.metas[p].home;
+                    self.send_msg(ph, home, NOTIFY_WORDS, now, Deliver::Notify { idx });
+                    self.notifications += 1;
+                }
+                None => self.metas[p].subscribers.push(idx),
+            }
+        }
+        self.metas[idx].remote_producers = producers;
+        self.queue.schedule(sender_free.max(now), Event::MasterStep);
+    }
+
+    /// A node's manager retired a task: notify its subscribers and the
+    /// master, then refill the freed pool slot.
+    fn retired(&mut self, node: usize, task: TaskId, now: SimTime) {
+        let idx = self.idx_of.idx(task);
+        let n = &mut self.nodes[node];
+        n.touch(now);
+        n.retired += 1;
+        n.outstanding -= 1;
+        n.total_work += self.durations[idx];
+        self.metas[idx].retired_at = Some(now);
+        if let Some(fs) = self.flow.as_mut() {
+            fs.latencies[idx] = now.since(fs.submitted_at[idx]);
+        }
+        self.record(now, SpanEvent::Retired { task: idx, node });
+        // Forward the retirement to every subscribed consumer…
+        for sub in std::mem::take(&mut self.metas[idx].subscribers) {
+            let home = self.metas[sub].home;
+            self.send_msg(node, home, NOTIFY_WORDS, now, Deliver::Notify { idx: sub });
+            self.notifications += 1;
+        }
+        // …and to the master (free if the task retired on node 0). With
+        // feedback enabled the notification carries the retiring node's load
+        // digest — same message, same words, no extra traffic on the happy
+        // path.
+        let load = self
+            .tracker
+            .as_ref()
+            .map(|_| (node, self.nodes[node].digest(now)));
+        self.send_msg(
+            node,
+            0,
+            NOTIFY_WORDS,
+            now,
+            Deliver::MasterRetire { task, load },
+        );
+        // A task-pool slot may have been freed.
+        self.pump(node, now);
+    }
+
+    /// Hands a message to the fabric: serializes it onto the first hop now
+    /// and schedules an [`Event::Relay`] per remaining hop, so every link is
+    /// acquired at the message's physical arrival time (causal,
+    /// work-conserving FIFO per link — see `Interconnect::send_hop`). The
+    /// terminal [`Deliver`] fires when the message leaves the last hop.
+    /// Node-local messages (`from == to`) bypass the network and deliver
+    /// immediately. Returns when the sender's interface is free again.
+    fn send_msg(
+        &mut self,
+        from: usize,
+        to: usize,
+        words: u64,
+        now: SimTime,
+        then: Deliver,
+    ) -> SimTime {
+        if from == to {
+            self.queue.schedule(now, then.into_event());
+            return now;
+        }
+        if self.rec.is_some() {
+            let (link, tier) = self.net.hop_link(from, to, 0);
+            self.record(now, SpanEvent::LinkHop { link, tier, words });
+        }
+        let d = self.net.send_hop(from, to, 0, words, now);
+        let ev = if self.net.hops(from, to) == 1 {
+            then.into_event()
+        } else {
+            Event::Relay {
+                from,
+                to,
+                hop: 1,
+                words,
+                then,
+            }
+        };
+        self.queue.schedule(d.delivered, ev);
+        d.sender_free
+    }
+
+    /// The per-node load board handed to migration victim selection, built
+    /// through the shared [`NodeLoad::snapshot`] constructor (the live
+    /// runtime's manager loop builds its board through the same one).
+    fn load_board(&self) -> Vec<NodeLoad> {
+        self.nodes
+            .iter()
+            .map(|n| {
+                NodeLoad::snapshot(
+                    n.pending.len(),
+                    n.pending
+                        .iter()
+                        .filter(|&&i| eligible(&self.metas, i))
+                        .count(),
+                    n.pool.queued(),
+                    n.pool.free(),
+                    n.outstanding,
+                    n.pool.total_speed_milli(),
+                )
+            })
+            .collect()
+    }
+
+    /// Issues `kind` requests from every node that may migrate (see
+    /// [`NodeState::may_migrate`]). Runs after each event while the kind is
+    /// enabled; the load snapshot (with its per-descriptor eligibility scan)
+    /// is only built when some node actually qualifies.
+    fn try_migrate(&mut self, kind: MigrationKind, now: SimTime) {
+        if !self.nodes.iter().any(|n| n.may_migrate(kind, now)) {
+            return;
+        }
+        let loads = self.load_board();
+        for thief in 0..self.nodes.len() {
+            if !self.nodes[thief].may_migrate(kind, now) {
+                continue;
+            }
+            let distances = Some(&self.distances);
+            let victim = match kind {
+                MigrationKind::Steal => self.policy.choose_victim_tiered(thief, &loads, distances),
+                MigrationKind::Reclaim => {
+                    let live = self.tracker.as_ref().map(|tr| tr.live(now.as_ps()));
+                    self.policy
+                        .choose_reclaim_victim(thief, &loads, live, distances)
+                }
+            };
+            let Some(victim) = victim else {
+                continue;
+            };
+            assert!(
+                victim != thief && victim < self.nodes.len(),
+                "{kind:?} policy {} picked victim {victim} for thief {thief}",
+                self.policy.name()
+            );
+            self.nodes[thief].migration[kind.index()].inflight = true;
+            let request = Deliver::MigrateRequest {
+                kind,
+                thief,
+                victim,
+            };
+            self.send_msg(thief, victim, kind.words(), now, request);
+        }
+    }
+
+    /// Handles a `kind` request arriving at `victim`: hand over up to a batch
+    /// of the youngest candidate pending descriptors — eligible ones for a
+    /// steal, dependence-blocked ones for a reclaim — or send an empty-handed
+    /// reply. The batch is sized by the policy from the thief's free workers
+    /// *and* the victim's candidate backlog at grant time. Each moved
+    /// descriptor's dependences are re-homed before it leaves: consumers that
+    /// counted on resolving it inside the victim's manager, and its own
+    /// unretired producers (which the victim's manager would have ordered
+    /// locally), are subscribed to cross-node retirement notifications.
+    fn grant(&mut self, kind: MigrationKind, thief: usize, victim: usize, now: SimTime) {
+        self.nodes[victim].touch(now);
+        // Positions of the youngest candidates, collected from the back of
+        // the queue (descending, so removal is position-stable).
+        let take_eligible = kind == MigrationKind::Steal;
+        let mut positions: Vec<usize> = {
+            let pending = &self.nodes[victim].pending;
+            (0..pending.len())
+                .rev()
+                .filter(|&pos| eligible(&self.metas, pending[pos]) == take_eligible)
+                .collect()
+        };
+        let free = self.nodes[thief].pool.free();
+        let mut batch = match kind {
+            MigrationKind::Steal => self.policy.batch_for(free, positions.len()),
+            MigrationKind::Reclaim => self.policy.reclaim_batch(free, positions.len()),
+        };
+        if let Some(fs) = self.flow.as_ref() {
+            if fs.gated {
+                // An open-loop thief honours its own admission bound:
+                // migrated descriptors enter its admission domain too.
+                batch = batch.min(fs.depth.saturating_sub(fs.admitted[thief]));
+            }
+        }
+        positions.truncate(batch);
+        let counts = &mut self.migrations[kind.index()];
+        if positions.is_empty() {
+            counts.failures += 1;
+            let reply = Deliver::MigrateFailed { kind, thief };
+            self.send_msg(victim, thief, kind.words(), now, reply);
+            return;
+        }
+        // The request is resolved; the thief stays quiet until every granted
+        // descriptor has landed (it has no capacity for more anyway).
+        counts.grants += 1;
+        counts.moved += positions.len() as u64;
+        let state = &mut self.nodes[thief].migration[kind.index()];
+        state.inflight = false;
+        state.incoming += positions.len();
+        for pos in positions {
+            let idx = self.nodes[victim]
+                .pending
+                .remove(pos)
+                .expect("migration position in range");
+            self.nodes[victim].outstanding -= 1;
+            if let Some(fs) = self.flow.as_mut() {
+                // The descriptor moves between admission domains; the freed
+                // victim slot may wake a back-pressured source.
+                fs.on_slot_freed(victim, now, &mut self.queue);
+                fs.note_migrated_in(thief);
+            }
+            let metas = &mut self.metas;
+            debug_assert_eq!(metas[idx].home, victim, "migrated task must be at home");
+            let consumers = std::mem::take(&mut metas[idx].consumers);
+            for &c in &consumers {
+                if metas[c].home == victim && !metas[idx].subscribers.contains(&c) {
+                    metas[c].remaining_remote += 1;
+                    metas[idx].subscribers.push(c);
+                }
+            }
+            metas[idx].consumers = consumers;
+            // Already-subscribed producers (the task was their remote
+            // consumer all along) keep exactly one subscription. A stolen
+            // task has no unretired producer, so this is a no-op for steals.
+            let producers = std::mem::take(&mut metas[idx].producers);
+            for &p in &producers {
+                if metas[p].retired_at.is_none() && !metas[p].subscribers.contains(&idx) {
+                    metas[idx].remaining_remote += 1;
+                    metas[p].subscribers.push(idx);
+                }
+            }
+            metas[idx].producers = producers;
+            metas[idx].home = thief;
+            let (task, from, to) = (idx, victim, thief);
+            self.record(
+                now,
+                match kind {
+                    MigrationKind::Steal => SpanEvent::Stolen { task, from, to },
+                    MigrationKind::Reclaim => SpanEvent::Reclaimed { task, from, to },
+                },
+            );
+            let words = self.tasks[idx].transfer_words();
+            let migrated = Deliver::Migrated {
+                kind,
+                node: thief,
+                idx,
+            };
+            self.send_msg(victim, thief, words, now, migrated);
+        }
+    }
+
+    /// A migrated descriptor reaches the thief. An eligible one enters the
+    /// input queue at the *front*: the thief imported it to run *now*, and
+    /// queueing it behind the thief's own blocked head would break the
+    /// topological order of the per-node FIFO queues — an early-order task
+    /// stuck behind a later blocked head can close a cross-node
+    /// head-of-line dependency cycle (deadlock). A still-blocked one is
+    /// parked until its last producer notification lands (`NotifyArrive`).
+    fn migrated_arrive(&mut self, kind: MigrationKind, node: usize, idx: usize, now: SimTime) {
+        let n = &mut self.nodes[node];
+        let state = &mut n.migration[kind.index()];
+        debug_assert!(
+            state.incoming > 0,
+            "{kind:?} arrival at node {node} without an outstanding grant"
+        );
+        state.incoming = state
+            .incoming
+            .checked_sub(1)
+            .expect("migration accounting underflow: arrival without a grant");
+        n.touch(now);
+        n.outstanding += 1;
+        let ready = eligible(&self.metas, idx);
+        debug_assert!(
+            ready || kind == MigrationKind::Reclaim,
+            "stolen task {idx} arrived with unretired producers"
+        );
+        if ready {
+            n.push_front(idx);
+            self.pump(node, now);
+        } else {
+            n.parked.push(idx);
+        }
+    }
+
+    /// Hands pending tasks at `node` to the local manager: strictly in arrival
+    /// order, only once all remote dependencies have arrived, respecting the
+    /// manager's back-pressure and the submission interface's busy time.
+    /// Every hand-over frees a slot in the node's admission domain (streaming
+    /// runs only), which may wake a back-pressured source.
+    fn pump(&mut self, node: usize, now: SimTime) {
+        let n = &mut self.nodes[node];
+        while let Some(&idx) = n.pending.front() {
+            if self.metas[idx].remaining_remote > 0 {
+                break; // head-of-line: preserves per-node program order
+            }
+            if !n.manager.can_accept(now) {
+                break; // re-pumped when a retirement frees a pool slot
+            }
+            if now < n.input_free {
+                // A submittable head is blocked only by the busy submission
+                // interface: retry exactly when it frees up. `input_free` only
+                // moves forward, so one outstanding retry per node suffices —
+                // the dedup flag collapses what used to be an O(queue-depth)
+                // storm of no-op Pump events.
+                if !n.pump_queued {
+                    n.pump_queued = true;
+                    self.queue.schedule(n.input_free, Event::Pump { node });
+                }
+                break;
+            }
+            n.pending.pop_front();
+            if let Some(fs) = self.flow.as_mut() {
+                fs.on_slot_freed(node, now, &mut self.queue);
+            }
+            if let Some(r) = self.rec.as_mut() {
+                r.record(now.as_ps(), SpanEvent::Dispatched { task: idx, node });
+            }
+            let release = n.manager.submit(self.tasks[idx], now);
+            n.manager.drain_events_into(&mut self.scratch);
+            schedule_events(&mut self.scratch, node, now, &mut self.queue);
+            n.input_free = release.max(now);
+        }
+    }
+
+    /// Drains `node`'s manager notifications into the global event queue
+    /// through the reused scratch buffer (no per-call allocation).
+    fn drain(&mut self, node: usize, now: SimTime) {
+        self.nodes[node]
+            .manager
+            .drain_events_into(&mut self.scratch);
+        schedule_events(&mut self.scratch, node, now, &mut self.queue);
+    }
+
+    /// Hands queued ready tasks to free workers on `node`.
+    fn dispatch(&mut self, node: usize, now: SimTime) {
+        let NodeState { manager, pool, .. } = &mut self.nodes[node];
+        let (idx_of, durations) = (&self.idx_of, &self.durations);
+        let (queue, scratch, rec) = (&mut self.queue, &mut self.scratch, &mut self.rec);
+        pool.dispatch(|task, worker, speed| {
+            let idx = idx_of.idx(task);
+            let extra = manager.dispatch_cost(task, now);
+            manager.drain_events_into(scratch);
+            if let Some(r) = rec.as_mut() {
+                // The body begins once the manager's dispatch cost is paid.
+                r.record(
+                    (now + extra).as_ps(),
+                    SpanEvent::Started {
+                        task: idx,
+                        node,
+                        worker,
+                    },
+                );
+            }
+            // A core of speed `speed/1000`× executes the task proportionally
+            // faster (exact for the uniform default: `d * 1000 / 1000 == d`).
+            let dur = durations[idx] * 1000 / speed;
+            queue.schedule(
+                now + extra + dur,
+                Event::WorkerFinish { node, task, worker },
+            );
+        });
+        schedule_events(scratch, node, now, queue);
+    }
+
+    /// Checks the run completed and assembles the outcome.
+    fn finish(mut self) -> (ClusterOutcome, Option<FlowState>) {
+        let trace = self.trace;
         assert!(
-            master.is_done(),
+            self.master.is_done(),
             "cluster master never finished the trace ({}; deadlock?)",
             trace.name
         );
-        let master_last_writer = master.last_writer_table();
+        let master_last_writer = self.master.last_writer_table();
         let executed: u64 = self.nodes.iter().map(|n| n.executed).sum();
         assert_eq!(
             executed as usize,
-            tasks.len(),
+            self.tasks.len(),
             "not all tasks executed on the cluster ({})",
             trace.name
         );
         let retired: u64 = self.nodes.iter().map(|n| n.retired).sum();
-        assert_eq!(retired as usize, tasks.len());
+        assert_eq!(retired as usize, self.tasks.len());
 
-        if let Some(p) = prof.as_mut() {
-            p.pops = events_processed - inline_coalesced;
-            p.pushes = queue.total_scheduled();
-            p.inline_coalesced = inline_coalesced;
+        if let Some(p) = self.prof.as_mut() {
+            p.pops = self.events_processed - self.inline_coalesced;
+            p.pushes = self.queue.total_scheduled();
+            p.inline_coalesced = self.inline_coalesced;
         }
 
+        let net = &self.net;
         let link = LinkStats {
-            messages: self.net.messages(),
-            words: self.net.words(),
-            busy_time: self.net.busy_time(),
-            wait_time: self.net.wait_time(),
-            peak_utilization: self.net.peak_utilization(makespan),
-            per_tier: self.net.tier_stats(),
+            messages: net.messages(),
+            words: net.words(),
+            busy_time: net.busy_time(),
+            wait_time: net.wait_time(),
+            peak_utilization: net.peak_utilization(self.makespan),
+            per_tier: net.tier_stats(),
         };
 
         // The registry the outcome's scalar fields are views over. Populated
-        // once here from the driver's deterministic tallies (no hot-path
+        // once here from the run's deterministic tallies (no hot-path
         // registry operations), so the engine-equivalence grid can compare it
         // bit for bit.
         let mut metrics = Registry::new();
         metrics.add("task.executed", executed);
         metrics.add("task.retired", retired);
-        metrics.add("notify.sent", notifications);
-        metrics.add("steal.stolen", self.steals);
-        metrics.add("steal.grants", self.steal_grants);
-        metrics.add("steal.failures", self.steal_failures);
-        metrics.add("reclaim.reclaimed", self.reclaims);
-        metrics.add("reclaim.grants", self.reclaim_grants);
-        metrics.add("reclaim.failures", self.reclaim_failures);
+        metrics.add("notify.sent", self.notifications);
+        let [steal, reclaim] = self.migrations;
+        metrics.add("steal.stolen", steal.moved);
+        metrics.add("steal.grants", steal.grants);
+        metrics.add("steal.failures", steal.failures);
+        metrics.add("reclaim.reclaimed", reclaim.moved);
+        metrics.add("reclaim.grants", reclaim.grants);
+        metrics.add("reclaim.failures", reclaim.failures);
         metrics.add(
             "load.digest.updates",
-            tracker.as_ref().map_or(0, |tr| tr.updates),
+            self.tracker.as_ref().map_or(0, |tr| tr.updates),
         );
-        metrics.add("sim.events", events_processed);
+        metrics.add("sim.events", self.events_processed);
         metrics.add("link.messages", link.messages);
         metrics.add("link.words", link.words);
         for tier in &link.per_tier {
@@ -1407,7 +1636,7 @@ impl<M: TaskManager> ClusterDriver<M> {
             metrics.sample("node.pending.max", n.max_pending as u64);
             metrics.sample("node.executed", n.executed);
         }
-        if let Some(fs) = flow.as_ref() {
+        if let Some(fs) = self.flow.as_ref() {
             if fs.gated {
                 metrics.add("stream.backpressure", fs.backpressure_events);
                 metrics.sample("stream.admission.max", fs.max_admitted as u64);
@@ -1437,15 +1666,15 @@ impl<M: TaskManager> ClusterDriver<M> {
             manager: self.nodes[0].manager.name(),
             placement: self.cfg.placement.name().to_string(),
             stealing: self.cfg.stealing.name().to_string(),
-            topology: self.net.fabric().name().to_string(),
+            topology: net.fabric().name().to_string(),
             nodes: self.cfg.nodes,
             workers_per_node: self.cfg.workers_per_node,
-            makespan: makespan.since(SimTime::ZERO),
+            makespan: self.makespan.since(SimTime::ZERO),
             total_work: trace.total_work(),
             tasks: executed,
-            master_barrier_time: master.barrier_time(),
+            master_barrier_time: self.master.barrier_time(),
             per_node,
-            edges,
+            edges: self.edges,
             notifications: metrics.counter("notify.sent"),
             steals: metrics.counter("steal.stolen"),
             steal_failures: metrics.counter("steal.failures"),
@@ -1457,573 +1686,69 @@ impl<M: TaskManager> ClusterDriver<M> {
             master_last_writer,
             metrics,
         };
-        (outcome, flow)
+        (outcome, self.flow)
     }
+}
 
-    /// Routes every task and finds its remote last-writer producers, in the
-    /// same pass that accumulates the edge census (one [`DepScanner`] scan —
-    /// the reported statistics and the enforced dependencies cannot diverge).
-    /// The fabric's distance matrix is handed to the placement policy so
-    /// distance-aware placements see the real tiers.
-    fn analyze(
-        &self,
-        tasks: &[&TaskDescriptor],
-        distances: &DistanceMatrix,
-    ) -> (Vec<TaskMeta>, crate::routing::EdgeStats) {
-        let mut scanner = DepScanner::with_policy(self.cfg.nodes, self.cfg.placement.build())
-            .with_distances(distances.clone());
-        let mut metas: Vec<TaskMeta> = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            let i = metas.len();
-            let r = scanner.scan_full(task);
-            for &p in &r.producers {
-                metas[p].consumers.push(i);
-            }
-            metas.push(TaskMeta {
-                home: r.home,
-                remaining_remote: r.remote_producers.len(),
-                producers: r.producers,
-                remote_producers: r.remote_producers,
-                consumers: Vec::new(),
-                retired_at: None,
-                subscribers: Vec::new(),
-            });
+/// Routes every task and finds its remote last-writer producers, in the same
+/// pass that accumulates the edge census (one [`DepScanner`] scan — the
+/// reported statistics and the enforced dependencies cannot diverge). The
+/// fabric's distance matrix is handed to the placement policy so
+/// distance-aware placements see the real tiers.
+fn analyze(
+    cfg: &ClusterConfig,
+    tasks: &[&TaskDescriptor],
+    distances: &DistanceMatrix,
+) -> (Vec<TaskMeta>, EdgeStats) {
+    let mut scanner =
+        DepScanner::with_policy(cfg.nodes, cfg.placement.build()).with_distances(distances.clone());
+    let mut metas: Vec<TaskMeta> = Vec::with_capacity(tasks.len());
+    for task in tasks {
+        let i = metas.len();
+        let r = scanner.scan_full(task);
+        for &p in &r.producers {
+            metas[p].consumers.push(i);
         }
-        (metas, scanner.stats())
-    }
-
-    /// Hands a message to the fabric: serializes it onto the first hop now
-    /// and schedules an [`Event::Relay`] per remaining hop, so every link is
-    /// acquired at the message's physical arrival time (causal,
-    /// work-conserving FIFO per link — see `Interconnect::send_hop`). The
-    /// terminal [`Deliver`] fires when the message leaves the last hop.
-    /// Node-local messages (`from == to`) bypass the network and deliver
-    /// immediately. Returns when the sender's interface is free again.
-    #[allow(clippy::too_many_arguments)]
-    fn send_msg(
-        &mut self,
-        from: usize,
-        to: usize,
-        words: u64,
-        now: SimTime,
-        then: Deliver,
-        queue: &mut EventQueue<Event>,
-        rec: &mut Option<&mut dyn Recorder>,
-    ) -> SimTime {
-        if from == to {
-            queue.schedule(now, then.into_event());
-            return now;
-        }
-        if let Some(r) = rec.as_mut() {
-            let (link, tier) = self.net.hop_link(from, to, 0);
-            r.record(now.as_ps(), SpanEvent::LinkHop { link, tier, words });
-        }
-        let d = self.net.send_hop(from, to, 0, words, now);
-        if self.net.hops(from, to) == 1 {
-            queue.schedule(d.delivered, then.into_event());
-        } else {
-            queue.schedule(
-                d.delivered,
-                Event::Relay {
-                    from,
-                    to,
-                    hop: 1,
-                    words,
-                    then,
-                },
-            );
-        }
-        d.sender_free
-    }
-
-    /// True if the descriptor at `idx` may be stolen: every last-writer
-    /// producer has retired and no notification is still in flight, so the
-    /// task can execute on any node without waiting on anything.
-    fn eligible(metas: &[TaskMeta], idx: usize) -> bool {
-        metas[idx].remaining_remote == 0
-            && metas[idx]
-                .producers
-                .iter()
-                .all(|&p| metas[p].retired_at.is_some())
-    }
-
-    /// True if `node` may initiate a steal right now: free workers, nothing
-    /// ready, nothing pending, no request or granted batch still in flight,
-    /// and no failed attempt at this very timestamp.
-    fn may_steal(n: &NodeState<M>, now: SimTime) -> bool {
-        !n.steal_inflight
-            && n.incoming_steals == 0
-            && n.last_steal_fail != Some(now)
-            && n.pool.free() > 0
-            && n.pool.queued() == 0
-            && n.pending.is_empty()
-    }
-
-    /// True if `node` may initiate a pool reclamation right now: idle by the
-    /// steal criteria, nothing parked, no reclaim of its own in flight, and —
-    /// because the reclaim scan runs *after* the steal scan — no steal
-    /// request or granted batch in flight either (imported eligible work is
-    /// strictly cheaper than imported blocked work).
-    fn may_reclaim(n: &NodeState<M>, now: SimTime) -> bool {
-        !n.reclaim_inflight
-            && n.incoming_reclaims == 0
-            && n.last_reclaim_fail != Some(now)
-            && !n.steal_inflight
-            && n.incoming_steals == 0
-            && n.pool.free() > 0
-            && n.pool.queued() == 0
-            && n.pending.is_empty()
-            && n.parked.is_empty()
-    }
-
-    /// The per-node load board handed to steal and reclaim victim selection,
-    /// built through the shared [`NodeLoad::snapshot`] constructor (the live
-    /// runtime's manager loop builds its board through the same one).
-    fn load_board(&self, metas: &[TaskMeta]) -> Vec<NodeLoad> {
-        self.nodes
-            .iter()
-            .map(|n| {
-                NodeLoad::snapshot(
-                    n.pending.len(),
-                    n.pending
-                        .iter()
-                        .filter(|&&i| Self::eligible(metas, i))
-                        .count(),
-                    n.pool.queued(),
-                    n.pool.free(),
-                    n.outstanding,
-                    n.pool.total_speed_milli(),
-                )
-            })
-            .collect()
-    }
-
-    /// Initiates steal requests from every idle node (see
-    /// [`ClusterDriver::may_steal`]). Runs after each event while stealing is
-    /// enabled; the load snapshot (with its per-descriptor eligibility scan)
-    /// is only built when some node actually qualifies.
-    fn try_steals(
-        &mut self,
-        now: SimTime,
-        metas: &[TaskMeta],
-        distances: &DistanceMatrix,
-        policy: &mut dyn StealPolicy,
-        queue: &mut EventQueue<Event>,
-        rec: &mut Option<&mut dyn Recorder>,
-    ) {
-        if !self.nodes.iter().any(|n| Self::may_steal(n, now)) {
-            return;
-        }
-        let loads = self.load_board(metas);
-        for thief in 0..self.nodes.len() {
-            if !Self::may_steal(&self.nodes[thief], now) {
-                continue;
-            }
-            let Some(victim) = policy.choose_victim_tiered(thief, &loads, Some(distances)) else {
-                continue;
-            };
-            assert!(
-                victim != thief && victim < self.nodes.len(),
-                "steal policy {} picked victim {victim} for thief {thief}",
-                policy.name()
-            );
-            self.nodes[thief].steal_inflight = true;
-            self.send_msg(
-                thief,
-                victim,
-                STEAL_WORDS,
-                now,
-                Deliver::StealRequest { thief, victim },
-                queue,
-                rec,
-            );
-        }
-    }
-
-    /// Handles a steal request arriving at `victim`: hand over up to a batch
-    /// of the youngest eligible pending descriptors (re-homing their
-    /// dependence notifications), or send an empty-handed reply. The batch is
-    /// sized by the policy from the thief's free workers *and* the victim's
-    /// eligible backlog at grant time (adaptive policies steal half of it).
-    #[allow(clippy::too_many_arguments)]
-    fn grant_steal(
-        &mut self,
-        thief: usize,
-        victim: usize,
-        now: SimTime,
-        policy: &dyn StealPolicy,
-        metas: &mut [TaskMeta],
-        tasks: &[&TaskDescriptor],
-        queue: &mut EventQueue<Event>,
-        flow: &mut Option<FlowState>,
-        rec: &mut Option<&mut dyn Recorder>,
-    ) {
-        self.nodes[victim].touch(now);
-        // Positions of the youngest eligible descriptors, collected from the
-        // back of the queue (descending, so removal is position-stable).
-        let mut positions: Vec<usize> = {
-            let pending = &self.nodes[victim].pending;
-            (0..pending.len())
-                .rev()
-                .filter(|&pos| Self::eligible(metas, pending[pos]))
-                .collect()
-        };
-        let mut batch = policy.batch_for(self.nodes[thief].pool.free(), positions.len());
-        if let Some(fs) = flow.as_ref() {
-            if fs.gated {
-                // An open-loop thief honours its own admission bound: stolen
-                // descriptors enter its admission domain too.
-                batch = batch.min(fs.depth.saturating_sub(fs.admitted[thief]));
-            }
-        }
-        positions.truncate(batch);
-        if positions.is_empty() {
-            self.steal_failures += 1;
-            self.send_msg(
-                victim,
-                thief,
-                STEAL_WORDS,
-                now,
-                Deliver::StealFailed { thief },
-                queue,
-                rec,
-            );
-            return;
-        }
-        // The request is resolved; the thief stays quiet until every granted
-        // descriptor has landed (it has no capacity for more anyway).
-        self.steal_grants += 1;
-        self.nodes[thief].steal_inflight = false;
-        self.nodes[thief].incoming_steals += positions.len();
-        for pos in positions {
-            let idx = self.nodes[victim]
-                .pending
-                .remove(pos)
-                .expect("steal position in range");
-            self.nodes[victim].outstanding -= 1;
-            if let Some(fs) = flow.as_mut() {
-                // The descriptor moves between admission domains; the freed
-                // victim slot may wake a back-pressured source.
-                fs.on_slot_freed(victim, now, queue);
-                fs.note_steal_in(thief);
-            }
-            debug_assert_eq!(metas[idx].home, victim, "stolen task must be at home");
-            // Consumers that counted on resolving this dependence inside the
-            // victim's manager now need a cross-node retirement notification.
-            let consumers = std::mem::take(&mut metas[idx].consumers);
-            for &c in &consumers {
-                if metas[c].home == victim && !metas[idx].subscribers.contains(&c) {
-                    metas[c].remaining_remote += 1;
-                    metas[idx].subscribers.push(c);
-                }
-            }
-            metas[idx].consumers = consumers;
-            metas[idx].home = thief;
-            self.steals += 1;
-            if let Some(r) = rec.as_mut() {
-                r.record(
-                    now.as_ps(),
-                    SpanEvent::Stolen {
-                        task: idx,
-                        from: victim,
-                        to: thief,
-                    },
-                );
-            }
-            self.send_msg(
-                victim,
-                thief,
-                tasks[idx].transfer_words(),
-                now,
-                Deliver::Stolen { node: thief, idx },
-                queue,
-                rec,
-            );
-        }
-    }
-
-    /// Initiates pool-reclamation requests from every idle node (see
-    /// [`ClusterDriver::may_reclaim`]). Runs after the steal scan while
-    /// reclamation is enabled: where a steal can only take *eligible*
-    /// descriptors, a reclaim reaches past them to the dependence-blocked
-    /// remainder of a loaded pool ([`NodeLoad::reclaimable`]), betting that
-    /// the blockers resolve sooner next to spare capacity.
-    #[allow(clippy::too_many_arguments)]
-    fn try_reclaims(
-        &mut self,
-        now: SimTime,
-        metas: &[TaskMeta],
-        distances: &DistanceMatrix,
-        tracker: Option<&LoadTracker>,
-        policy: &mut dyn StealPolicy,
-        queue: &mut EventQueue<Event>,
-        rec: &mut Option<&mut dyn Recorder>,
-    ) {
-        if !self.nodes.iter().any(|n| Self::may_reclaim(n, now)) {
-            return;
-        }
-        let loads = self.load_board(metas);
-        for thief in 0..self.nodes.len() {
-            if !Self::may_reclaim(&self.nodes[thief], now) {
-                continue;
-            }
-            let live = tracker.map(|tr| tr.live(now.as_ps()));
-            let Some(victim) = policy.choose_reclaim_victim(thief, &loads, live, Some(distances))
-            else {
-                continue;
-            };
-            assert!(
-                victim != thief && victim < self.nodes.len(),
-                "reclaim policy {} picked victim {victim} for thief {thief}",
-                policy.name()
-            );
-            self.nodes[thief].reclaim_inflight = true;
-            self.send_msg(
-                thief,
-                victim,
-                RECLAIM_WORDS,
-                now,
-                Deliver::ReclaimRequest { thief, victim },
-                queue,
-                rec,
-            );
-        }
-    }
-
-    /// Handles a reclaim request arriving at `victim`: hand over up to a
-    /// batch of the youngest *ineligible* (dependence-blocked) pending
-    /// descriptors, or send an empty-handed reply. Where a steal grant
-    /// re-homes only the *consumers'* notifications, a reclaim grant must
-    /// additionally re-subscribe the moved task to its own still-unretired
-    /// producers: the victim's manager would have enforced those dependences
-    /// locally, and after the move they need cross-node retirement
-    /// notifications. Each reclaimed descriptor pays the full re-forwarding
-    /// cost on the victim→thief link, exactly like a stolen one.
-    #[allow(clippy::too_many_arguments)]
-    fn grant_reclaim(
-        &mut self,
-        thief: usize,
-        victim: usize,
-        now: SimTime,
-        policy: &dyn StealPolicy,
-        metas: &mut [TaskMeta],
-        tasks: &[&TaskDescriptor],
-        queue: &mut EventQueue<Event>,
-        flow: &mut Option<FlowState>,
-        rec: &mut Option<&mut dyn Recorder>,
-    ) {
-        self.nodes[victim].touch(now);
-        // Positions of the youngest blocked descriptors, collected from the
-        // back of the queue (descending, so removal is position-stable).
-        let mut positions: Vec<usize> = {
-            let pending = &self.nodes[victim].pending;
-            (0..pending.len())
-                .rev()
-                .filter(|&pos| !Self::eligible(metas, pending[pos]))
-                .collect()
-        };
-        let mut batch = policy.reclaim_batch(self.nodes[thief].pool.free(), positions.len());
-        if let Some(fs) = flow.as_ref() {
-            if fs.gated {
-                // An open-loop thief honours its own admission bound.
-                batch = batch.min(fs.depth.saturating_sub(fs.admitted[thief]));
-            }
-        }
-        positions.truncate(batch);
-        if positions.is_empty() {
-            self.reclaim_failures += 1;
-            self.send_msg(
-                victim,
-                thief,
-                RECLAIM_WORDS,
-                now,
-                Deliver::ReclaimFailed { thief },
-                queue,
-                rec,
-            );
-            return;
-        }
-        self.reclaim_grants += 1;
-        self.nodes[thief].reclaim_inflight = false;
-        self.nodes[thief].incoming_reclaims += positions.len();
-        for pos in positions {
-            let idx = self.nodes[victim]
-                .pending
-                .remove(pos)
-                .expect("reclaim position in range");
-            self.nodes[victim].outstanding -= 1;
-            if let Some(fs) = flow.as_mut() {
-                fs.on_slot_freed(victim, now, queue);
-                fs.note_steal_in(thief);
-            }
-            debug_assert_eq!(metas[idx].home, victim, "reclaimed task must be at home");
-            // Consumers that counted on resolving this dependence inside the
-            // victim's manager now need a cross-node notification.
-            let consumers = std::mem::take(&mut metas[idx].consumers);
-            for &c in &consumers {
-                if metas[c].home == victim && !metas[idx].subscribers.contains(&c) {
-                    metas[c].remaining_remote += 1;
-                    metas[idx].subscribers.push(c);
-                }
-            }
-            metas[idx].consumers = consumers;
-            // The task's own unretired producers: the victim's manager would
-            // have ordered them locally; subscribe the moved task to their
-            // retirement notifications instead (already-subscribed producers
-            // — the task was their remote consumer all along — keep exactly
-            // one subscription).
-            let producers = std::mem::take(&mut metas[idx].producers);
-            for &p in &producers {
-                if metas[p].retired_at.is_none() && !metas[p].subscribers.contains(&idx) {
-                    metas[idx].remaining_remote += 1;
-                    metas[p].subscribers.push(idx);
-                }
-            }
-            metas[idx].producers = producers;
-            metas[idx].home = thief;
-            self.reclaims += 1;
-            if let Some(r) = rec.as_mut() {
-                r.record(
-                    now.as_ps(),
-                    SpanEvent::Reclaimed {
-                        task: idx,
-                        from: victim,
-                        to: thief,
-                    },
-                );
-            }
-            self.send_msg(
-                victim,
-                thief,
-                tasks[idx].transfer_words(),
-                now,
-                Deliver::Reclaimed { node: thief, idx },
-                queue,
-                rec,
-            );
-        }
-    }
-
-    /// Hands pending tasks at `node` to the local manager: strictly in arrival
-    /// order, only once all remote dependencies have arrived, respecting the
-    /// manager's back-pressure and the submission interface's busy time.
-    /// Every hand-over frees a slot in the node's admission domain (streaming
-    /// runs only), which may wake a back-pressured source.
-    #[allow(clippy::too_many_arguments)]
-    fn pump(
-        &mut self,
-        node: usize,
-        now: SimTime,
-        metas: &[TaskMeta],
-        tasks: &[&TaskDescriptor],
-        queue: &mut EventQueue<Event>,
-        scratch: &mut Vec<ManagerEvent>,
-        flow: &mut Option<FlowState>,
-        rec: &mut Option<&mut dyn Recorder>,
-    ) {
-        let n = &mut self.nodes[node];
-        while let Some(&idx) = n.pending.front() {
-            if metas[idx].remaining_remote > 0 {
-                break; // head-of-line: preserves per-node program order
-            }
-            if !n.manager.can_accept(now) {
-                break; // re-pumped when a retirement frees a pool slot
-            }
-            if now < n.input_free {
-                // A submittable head is blocked only by the busy submission
-                // interface: retry exactly when it frees up. `input_free` only
-                // moves forward, so one outstanding retry per node suffices —
-                // the dedup flag collapses what used to be an O(queue-depth)
-                // storm of no-op Pump events.
-                if !n.pump_queued {
-                    n.pump_queued = true;
-                    queue.schedule(n.input_free, Event::Pump { node });
-                }
-                break;
-            }
-            n.pending.pop_front();
-            if let Some(fs) = flow.as_mut() {
-                fs.on_slot_freed(node, now, queue);
-            }
-            if let Some(r) = rec.as_mut() {
-                r.record(now.as_ps(), SpanEvent::Dispatched { task: idx, node });
-            }
-            let release = n.manager.submit(tasks[idx], now);
-            Self::drain(n, node, now, queue, scratch);
-            n.input_free = release.max(now);
-        }
-    }
-
-    /// Schedules manager notifications onto the global event queue.
-    fn schedule_events(
-        events: impl IntoIterator<Item = ManagerEvent>,
-        node: usize,
-        now: SimTime,
-        queue: &mut EventQueue<Event>,
-    ) {
-        for ev in events {
-            match ev {
-                ManagerEvent::Ready { task, at } => {
-                    queue.schedule(at.max(now), Event::Ready { node, task });
-                }
-                ManagerEvent::Retired { task, at } => {
-                    queue.schedule(at.max(now), Event::Retired { node, task });
-                }
-            }
-        }
-    }
-
-    /// Drains a node manager's notifications into the global event queue
-    /// through a reused scratch buffer (no per-call allocation).
-    fn drain(
-        n: &mut NodeState<M>,
-        node: usize,
-        now: SimTime,
-        queue: &mut EventQueue<Event>,
-        scratch: &mut Vec<ManagerEvent>,
-    ) {
-        n.manager.drain_events_into(scratch);
-        Self::schedule_events(scratch.drain(..), node, now, queue);
-    }
-
-    /// Hands queued ready tasks to free workers on `node`.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        n: &mut NodeState<M>,
-        node: usize,
-        now: SimTime,
-        idx_of: &IdMap,
-        durations: &[SimDuration],
-        queue: &mut EventQueue<Event>,
-        scratch: &mut Vec<ManagerEvent>,
-        rec: &mut Option<&mut dyn Recorder>,
-    ) {
-        let manager = &mut n.manager;
-        let pool = &mut n.pool;
-        pool.dispatch(|task, worker, speed| {
-            let idx = idx_of.idx(task);
-            let extra = manager.dispatch_cost(task, now);
-            manager.drain_events_into(scratch);
-            if let Some(r) = rec.as_mut() {
-                // The body begins once the manager's dispatch cost is paid.
-                r.record(
-                    (now + extra).as_ps(),
-                    SpanEvent::Started {
-                        task: idx,
-                        node,
-                        worker,
-                    },
-                );
-            }
-            // A core of speed `speed/1000`× executes the task proportionally
-            // faster (exact for the uniform default: `d * 1000 / 1000 == d`).
-            let dur = durations[idx] * 1000 / speed;
-            queue.schedule(
-                now + extra + dur,
-                Event::WorkerFinish { node, task, worker },
-            );
+        metas.push(TaskMeta {
+            home: r.home,
+            remaining_remote: r.remote_producers.len(),
+            producers: r.producers,
+            remote_producers: r.remote_producers,
+            consumers: Vec::new(),
+            retired_at: None,
+            subscribers: Vec::new(),
         });
-        Self::schedule_events(scratch.drain(..), node, now, queue);
+    }
+    (metas, scanner.stats())
+}
+
+/// True if the descriptor at `idx` is *eligible*: every last-writer producer
+/// has retired and no notification is still in flight, so the task can
+/// execute on any node without waiting on anything.
+fn eligible(metas: &[TaskMeta], idx: usize) -> bool {
+    metas[idx].remaining_remote == 0
+        && metas[idx]
+            .producers
+            .iter()
+            .all(|&p| metas[p].retired_at.is_some())
+}
+
+/// Moves drained manager notifications onto the global event queue.
+fn schedule_events(
+    scratch: &mut Vec<ManagerEvent>,
+    node: usize,
+    now: SimTime,
+    queue: &mut EventQueue<Event>,
+) {
+    for ev in scratch.drain(..) {
+        match ev {
+            ManagerEvent::Ready { task, at } => {
+                queue.schedule(at.max(now), Event::Ready { node, task });
+            }
+            ManagerEvent::Retired { task, at } => {
+                queue.schedule(at.max(now), Event::Retired { node, task });
+            }
+        }
     }
 }
 
@@ -2035,45 +1760,6 @@ pub fn simulate_cluster<M: TaskManager>(
     make_manager: impl FnMut(usize) -> M,
 ) -> ClusterOutcome {
     ClusterDriver::new(cfg, make_manager).run(trace)
-}
-
-/// Runs `trace` on a cluster configured by `cfg` with a [`Recorder`]
-/// attached: the event loop emits task-lifecycle span events stamped in
-/// virtual picoseconds (see [`ClusterDriver::run_recorded`]). Convenience
-/// wrapper around [`ClusterDriver`].
-pub fn simulate_cluster_traced<M: TaskManager>(
-    trace: &Trace,
-    cfg: &ClusterConfig,
-    make_manager: impl FnMut(usize) -> M,
-    rec: &mut dyn Recorder,
-) -> ClusterOutcome {
-    ClusterDriver::new(cfg, make_manager).run_recorded(trace, rec)
-}
-
-/// Runs `trace` as a service on a cluster configured by `cfg`: submissions
-/// released by `source` (open-loop arrival times + bounded admission queues,
-/// or a closed-loop source reproducing [`simulate_cluster`] exactly) with
-/// per-task latencies recorded. Convenience wrapper around
-/// [`ClusterDriver::run_streaming`].
-pub fn simulate_streaming<M: TaskManager>(
-    trace: &Trace,
-    source: &StreamingSource,
-    cfg: &ClusterConfig,
-    make_manager: impl FnMut(usize) -> M,
-) -> StreamOutcome {
-    ClusterDriver::new(cfg, make_manager).run_streaming(trace, source)
-}
-
-/// Runs `trace` on a cluster wired with an explicit fabric (custom rack or
-/// group sizes, hand-built graphs) instead of the one `cfg.link.topology`
-/// would derive. Convenience wrapper around [`ClusterDriver::with_fabric`].
-pub fn simulate_cluster_on<M: TaskManager>(
-    trace: &Trace,
-    cfg: &ClusterConfig,
-    fabric: Fabric,
-    make_manager: impl FnMut(usize) -> M,
-) -> ClusterOutcome {
-    ClusterDriver::with_fabric(cfg, fabric, make_manager).run(trace)
 }
 
 #[cfg(test)]
@@ -2320,7 +2006,7 @@ mod tests {
                 .with_link(LinkConfig::rdma())
                 .with_stealing(StealKind::MostLoaded)
                 .with_engine(engine);
-            simulate_streaming(&trace, &source, &cfg, |_| tight_sharp())
+            ClusterDriver::new(&cfg, |_| tight_sharp()).run_streaming(&trace, &source)
         };
         let heap = run(nexus_sim::EngineKind::Heap);
         let calendar = run(nexus_sim::EngineKind::Calendar);
@@ -2352,7 +2038,7 @@ mod tests {
         let cfg = ClusterConfig::new(4, 4)
             .with_link(LinkConfig::rdma())
             .with_stealing(StealKind::MostLoaded);
-        let plain = simulate_streaming(&trace, &source, &cfg, |_| tight_sharp());
+        let plain = ClusterDriver::new(&cfg, |_| tight_sharp()).run_streaming(&trace, &source);
         let mut rec = nexus_obs::MemRecorder::new(nexus_obs::TimeBase::VirtualPs);
         let traced = ClusterDriver::new(&cfg, |_| tight_sharp())
             .run_streaming_recorded(&trace, &source, &mut rec);
@@ -2388,8 +2074,8 @@ mod tests {
                             .with_engine(engine);
                         let plain = simulate_cluster(&trace, &cfg, |_| tight_sharp());
                         let mut rec = nexus_obs::MemRecorder::new(nexus_obs::TimeBase::VirtualPs);
-                        let traced =
-                            simulate_cluster_traced(&trace, &cfg, |_| tight_sharp(), &mut rec);
+                        let traced = ClusterDriver::new(&cfg, |_| tight_sharp())
+                            .run_recorded(&trace, &mut rec);
                         assert_eq!(
                             format!("{plain:?}"),
                             format!("{traced:?}"),
@@ -2411,7 +2097,7 @@ mod tests {
             .with_link(LinkConfig::rdma())
             .with_stealing(StealKind::MostLoaded);
         let mut rec = nexus_obs::MemRecorder::new(nexus_obs::TimeBase::VirtualPs);
-        let out = simulate_cluster_traced(&trace, &cfg, |_| tight_sharp(), &mut rec);
+        let out = ClusterDriver::new(&cfg, |_| tight_sharp()).run_recorded(&trace, &mut rec);
         let report = nexus_obs::check_conservation(&rec.events)
             .expect("cluster trace must conserve the task lifecycle");
         assert_eq!(report.submitted as u64, out.tasks);
@@ -2607,7 +2293,8 @@ mod tests {
             .with_link(LinkConfig::rdma())
             .with_feedback(FeedbackKind::Reclaim);
         let mut rec = nexus_obs::MemRecorder::new(nexus_obs::TimeBase::VirtualPs);
-        let out = simulate_cluster_traced(&chain_block_trace(), &cfg, |_| tight_sharp(), &mut rec);
+        let out = ClusterDriver::new(&cfg, |_| tight_sharp())
+            .run_recorded(&chain_block_trace(), &mut rec);
         let report = nexus_obs::check_conservation(&rec.events)
             .expect("reclaim trace must conserve the task lifecycle");
         assert_eq!(report.retired as u64, out.tasks);
@@ -2691,7 +2378,7 @@ mod tests {
             );
             // The recorder stays observational with feedback on, too.
             let mut rec = nexus_obs::MemRecorder::new(nexus_obs::TimeBase::VirtualPs);
-            let traced = simulate_cluster_traced(&trace, &cfg, |_| tight_sharp(), &mut rec);
+            let traced = ClusterDriver::new(&cfg, |_| tight_sharp()).run_recorded(&trace, &mut rec);
             assert_eq!(
                 format!("{heap:?}"),
                 format!("{traced:?}"),

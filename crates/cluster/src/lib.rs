@@ -19,22 +19,22 @@
 //!   fabric's distance matrix), cross-node dependency notifications are
 //!   forwarded hop by hop over the links, and — when enabled — idle nodes
 //!   steal pending descriptors from loaded neighbours at descriptor
-//!   re-forwarding cost ([`simulate_cluster_on`] runs on an explicit custom
-//!   fabric). With runtime feedback enabled ([`FeedbackKind`]), retirement
+//!   re-forwarding cost ([`ClusterDriver::with_fabric`] runs on an explicit
+//!   custom fabric). With runtime feedback enabled ([`FeedbackKind`]), retirement
 //!   notifications piggyback live per-node load digests that drive
 //!   submit-time re-placement, and idle nodes may *reclaim*
 //!   dependence-blocked descriptors a steal could never reach,
 //! * [`ClusterOutcome`] — aggregate and per-node results plus interconnect
 //!   traffic (total and per fabric tier) and steal statistics,
-//! * [`stream`] / [`simulate_streaming`] — service-mode (open-loop) runs:
+//! * [`stream`] / [`ClusterDriver::run_streaming`] — service-mode (open-loop) runs:
 //!   a [`StreamingSource`] releases submissions at arrival times through
 //!   bounded per-node admission queues with back-pressure to the source,
 //!   and [`StreamOutcome`] adds per-task submit→retire latencies, admission
 //!   depth series and back-pressure counts on top of the closed-loop fields,
 //! * [`routing`] — the policy-driven dependence scanner and the remote-edge
 //!   census used by benchmarks and tests,
-//! * observability — [`simulate_cluster_traced`] /
-//!   [`ClusterDriver::run_recorded`] attach a `nexus-obs`
+//! * observability — [`ClusterDriver::run_recorded`] /
+//!   [`ClusterDriver::run_streaming_recorded`] attach a `nexus-obs`
 //!   [`Recorder`] to the event loop (task-lifecycle
 //!   span events in virtual time; outcomes stay bit-identical with tracing
 //!   on or off), every outcome carries a metrics
@@ -71,10 +71,7 @@ pub mod routing;
 pub mod stream;
 
 pub use config::{ClusterConfig, LinkConfig, Topology};
-pub use driver::{
-    simulate_cluster, simulate_cluster_on, simulate_cluster_traced, simulate_streaming,
-    ClusterDriver, NOTIFY_WORDS, RECLAIM_WORDS, STEAL_WORDS,
-};
+pub use driver::{simulate_cluster, ClusterDriver, NOTIFY_WORDS, RECLAIM_WORDS, STEAL_WORDS};
 pub use interconnect::Interconnect;
 pub use nexus_obs::{MemRecorder, Recorder, Registry, SpanEvent, TimeBase};
 pub use nexus_sched::{FeedbackKind, PolicyKind, StealKind};
@@ -88,10 +85,7 @@ pub use stream::{AdmissionConfig, DepthSeries, StreamOutcome, StreamingSource};
 /// Convenience prelude.
 pub mod prelude {
     pub use crate::config::{ClusterConfig, LinkConfig, Topology};
-    pub use crate::driver::{
-        simulate_cluster, simulate_cluster_on, simulate_cluster_traced, simulate_streaming,
-        ClusterDriver,
-    };
+    pub use crate::driver::{simulate_cluster, ClusterDriver};
     pub use crate::outcome::{ClusterOutcome, LinkStats, TierStats};
     pub use crate::routing::{
         edge_stats, edge_stats_on, edge_stats_with, remote_edge_fraction, EdgeStats,

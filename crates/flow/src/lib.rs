@@ -11,7 +11,7 @@
 //!   pass-through) generating an
 //!   [`ArrivalOverlay`](nexus_trace::ArrivalOverlay) over any trace,
 //! * [`simulate_service`] / [`ServiceConfig`] — drives
-//!   [`nexus_cluster::simulate_streaming`]: submissions released at arrival
+//!   [`ClusterDriver::run_streaming`](nexus_cluster::ClusterDriver::run_streaming): submissions released at arrival
 //!   times through bounded per-node admission queues
 //!   ([`AdmissionConfig`](nexus_cluster::AdmissionConfig)) with back-pressure
 //!   to the source (arrivals block, never drop),

@@ -4,7 +4,7 @@
 
 use crate::arrival::{ArrivalConfig, ArrivalKind};
 use crate::histogram::LatencyHistogram;
-use nexus_cluster::{simulate_streaming, AdmissionConfig, ClusterConfig, StreamingSource};
+use nexus_cluster::{AdmissionConfig, ClusterConfig, ClusterDriver, StreamingSource};
 use nexus_host::manager::TaskManager;
 use nexus_sim::SimDuration;
 use nexus_trace::Trace;
@@ -87,7 +87,7 @@ pub fn simulate_service<M: TaskManager>(
     make_manager: impl FnMut(usize) -> M,
 ) -> ServiceOutcome {
     let source = service.source_for(trace);
-    let stream = simulate_streaming(trace, &source, cluster, make_manager);
+    let stream = ClusterDriver::new(cluster, make_manager).run_streaming(trace, &source);
     let histogram = LatencyHistogram::from_latencies(&stream.latencies);
     ServiceOutcome { stream, histogram }
 }

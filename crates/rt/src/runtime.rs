@@ -18,32 +18,34 @@
 //! cross-node `Notify`, or — for descriptors it granted to a thief — by the
 //! thief's `StolenRetired` report. The home node remains the directory for a
 //! descriptor no matter where it ends up executing, so subscriptions never
-//! chase stolen work around the cluster. Every retirement is appended to one
-//! global retire log (the topological-order witness the conformance suite
-//! checks, and the wait mechanism behind `taskwait`).
+//! chase migrated work around the cluster. Every retirement is appended to
+//! one global retire log (the topological-order witness the conformance
+//! suite checks, and the wait mechanism behind `taskwait`).
 //!
-//! Work stealing reuses the simulator's [`StealPolicy`] objects verbatim: an
-//! idle manager snapshots the per-node load boards (lock-free atomics),
-//! lets the policy pick a victim, and sends a `StealRequest`; the victim
-//! answers with up to `batch_for(free, backlog)` of its *youngest* ready
-//! descriptors (they have the fewest local consumers waiting).
+//! **Task migration** reuses the simulator's [`StealPolicy`] objects
+//! verbatim, in one protocol of two kinds. An idle manager snapshots the
+//! per-node load boards (lock-free atomics), lets the policy pick a victim
+//! and sends a `MigrateRequest`; the victim answers with a `MigrateGrant`
+//! (possibly empty-handed) of its *youngest* candidates, and the thief
+//! admits each granted descriptor exactly like a submission. The kinds
+//! differ in the candidates and the policy calls:
 //!
-//! With runtime feedback enabled (`RtConfig::feedback`), the protocol grows
-//! the same two consumers the event simulator has:
+//! * a **steal** takes ready descriptors (`choose_victim_tiered`,
+//!   `batch_for`);
+//! * a **reclaim** (feedback `Reclaim`/`Full`, only while the thief is
+//!   completely drained and has no steal in flight) takes dependence-*blocked*
+//!   descriptors a steal cannot reach (`choose_reclaim_victim` over the live
+//!   digests, `reclaim_batch`). They travel with their unresolved producer
+//!   lists, and the victim registers a forwarding entry per missing producer,
+//!   so the retirement `Notify` it eventually receives is relayed to the
+//!   thief.
 //!
-//! * **Load digests** — every cross-node `Notify` piggybacks the sender's
-//!   live [`LoadView`] (wall-nanosecond clock); each manager folds incoming
-//!   digests into its per-node view table for reclaim victim selection, and
-//!   retirements additionally publish to a shared digest board the master
-//!   reads for submit-time [`FeedbackPlacement`] (`Place`/`Full`).
-//! * **Pool reclamation** (`Reclaim`/`Full`) — an idle manager that cannot
-//!   steal (no eligible descriptor anywhere) may `ReclaimRequest` a
-//!   dependence-*blocked* descriptor out of a loaded victim's pending pool.
-//!   The victim hands back its youngest blocked descriptors with their
-//!   unresolved producer lists and registers a forwarding entry per missing
-//!   producer, so the retirement `Notify` it eventually receives is relayed
-//!   to the thief; the descriptor keeps its original home as directory,
-//!   exactly like stolen work.
+//! With runtime feedback enabled (`RtConfig::feedback`), every cross-node
+//! `Notify` also piggybacks the sender's live [`LoadView`] (wall-nanosecond
+//! clock); each manager folds incoming digests into its per-node view table
+//! for reclaim victim selection, and retirements additionally publish to a
+//! shared digest board the master reads for submit-time
+//! [`FeedbackPlacement`] (`Place`/`Full`).
 
 use crate::config::RtConfig;
 use crate::task::{RtTask, SubmitError, TaskBody};
@@ -71,53 +73,43 @@ const IDLE_TICK: Duration = Duration::from_millis(1);
 /// schedule at.
 const DIGEST_HALF_LIFE_NS: u64 = 1_000_000;
 
-/// A ready-to-run descriptor: dependence-free, waiting for a worker. This is
-/// also the unit a steal grant transfers; `home` pins the directory node, so
-/// a descriptor stolen (even repeatedly) still reports its retirement back to
-/// the one node holding its subscriptions.
-struct ReadyTask {
+/// A task descriptor, the one unit submissions, migration grants and worker
+/// hand-offs carry. `home` pins the directory node, so a descriptor migrated
+/// (even repeatedly) still reports its retirement back to the one node
+/// holding its subscriptions.
+struct Descriptor {
     idx: usize,
     id: TaskId,
     home: usize,
     duration: SimDuration,
     body: Option<TaskBody>,
-}
-
-/// A submitted descriptor still missing producer retirements. `home` is the
-/// directory node (differs from the holder once the descriptor has been
-/// reclaimed); `missing` lists the producers still unretired as far as the
-/// holding manager knows.
-struct PendingTask {
-    id: TaskId,
-    home: usize,
-    duration: SimDuration,
-    body: Option<TaskBody>,
+    /// Producers (by submission index) still unretired as far as the holder
+    /// knows; empty for a ready descriptor.
     missing: Vec<usize>,
 }
 
-/// A dependence-blocked descriptor in flight from a reclaim victim to the
-/// thief: a [`PendingTask`] plus its submission index, with the unresolved
-/// producer list riding along so the thief can wire up its own waiting
-/// entries.
-struct ReclaimedTask {
-    idx: usize,
-    id: TaskId,
-    home: usize,
-    duration: SimDuration,
-    body: Option<TaskBody>,
-    missing: Vec<usize>,
+/// The two kinds of task migration (see the [module docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MigrationKind {
+    /// Ready descriptors.
+    Steal,
+    /// Dependence-blocked descriptors.
+    Reclaim,
+}
+
+impl MigrationKind {
+    /// Both kinds, in the order an idle manager tries them.
+    const ALL: [MigrationKind; 2] = [MigrationKind::Steal, MigrationKind::Reclaim];
+
+    fn index(self) -> usize {
+        self as usize
+    }
 }
 
 /// Messages exchanged with (and between) the manager threads.
 enum MgrMsg {
-    /// Master → home node: a new descriptor (producers by submission index).
-    Submit {
-        idx: usize,
-        id: TaskId,
-        duration: SimDuration,
-        producers: Vec<usize>,
-        body: Option<TaskBody>,
-    },
+    /// Master → home node: a new descriptor, missing all its producers.
+    Submit(Descriptor),
     /// Master → a producer's home: node `to` consumes `producer`; notify it
     /// on retirement (immediately if already retired).
     Subscribe { producer: usize, to: usize },
@@ -131,30 +123,26 @@ enum MgrMsg {
     /// Worker → own manager: the task finished executing.
     WorkerDone { idx: usize, id: TaskId, home: usize },
     /// Idle thief → victim: request up to a policy-sized batch.
-    StealRequest { thief: usize, free: usize },
+    MigrateRequest {
+        kind: MigrationKind,
+        thief: usize,
+        free: usize,
+    },
     /// Victim → thief: the granted batch (possibly empty-handed).
-    StealGrant { tasks: Vec<ReadyTask> },
-    /// Thief → a stolen descriptor's home: it retired at the thief.
+    MigrateGrant {
+        kind: MigrationKind,
+        tasks: Vec<Descriptor>,
+    },
+    /// Thief → a migrated descriptor's home: it retired at the thief.
     StolenRetired { idx: usize },
-    /// Idle thief → victim: request dependence-blocked descriptors a steal
-    /// cannot reach (feedback `Reclaim`/`Full` only).
-    ReclaimRequest { thief: usize, free: usize },
-    /// Victim → thief: the reclaimed batch (possibly empty-handed).
-    ReclaimGrant { tasks: Vec<ReclaimedTask> },
     /// Owner → manager: stop the node's workers and exit.
     Shutdown,
 }
 
 /// Messages from a manager to its node's worker pool.
 enum WorkerMsg {
-    /// Execute one task (body, then the scaled duration sleep).
-    Run {
-        idx: usize,
-        id: TaskId,
-        home: usize,
-        duration: SimDuration,
-        body: Option<TaskBody>,
-    },
+    /// Execute one ready task (body, then the scaled duration sleep).
+    Run(Descriptor),
     /// Exit the worker loop.
     Stop,
 }
@@ -169,21 +157,28 @@ struct Board {
     speed_milli: u64,
 }
 
+/// One node's tallies of one migration kind.
+#[derive(Default, Clone, Copy)]
+struct MigrationStats {
+    /// Descriptors taken from victims.
+    moved_in: u64,
+    /// Descriptors granted away to thieves.
+    moved_out: u64,
+    /// Requests issued while idle.
+    requests: u64,
+    /// Requests answered with a non-empty batch (as the victim).
+    grants: u64,
+    /// Requests answered empty-handed (as the victim).
+    failures: u64,
+}
+
 /// Mutable per-node statistics, updated by the owning manager.
 #[derive(Default)]
 struct NodeStats {
     admitted: Vec<TaskId>,
     executed: u64,
-    stolen_in: u64,
-    stolen_out: u64,
-    steal_requests: u64,
-    steal_grants: u64,
-    steal_failures: u64,
-    reclaimed_in: u64,
-    reclaimed_out: u64,
-    reclaim_requests: u64,
-    reclaim_grants: u64,
-    reclaim_failures: u64,
+    /// Per [`MigrationKind`].
+    migration: [MigrationStats; 2],
     digest_updates: u64,
 }
 
@@ -479,7 +474,7 @@ impl ClusterRuntime {
                 inner: Arc::clone(&inner),
                 worker_tx,
                 policy: cfg.stealing.build(),
-                steal_enabled: cfg.stealing.is_enabled(),
+                migrating: [cfg.stealing.is_enabled(), cfg.feedback.reclaim_enabled()],
                 feedback: cfg.feedback,
                 distances: Arc::clone(&distances),
                 retired: FxHashSet::default(),
@@ -491,8 +486,7 @@ impl ClusterRuntime {
                 ready: VecDeque::new(),
                 free: cfg.workers_per_node,
                 done: 0,
-                steal_inflight: false,
-                reclaim_inflight: false,
+                inflight: [false; 2],
             };
             let t = thread::Builder::new()
                 .name(format!("nexus-rt-mgr-{node}"))
@@ -673,13 +667,14 @@ impl RuntimeHandle {
             });
         }
         self.inner.mgr_tx[rec.home]
-            .send(MgrMsg::Submit {
+            .send(MgrMsg::Submit(Descriptor {
                 idx,
                 id,
+                home: rec.home,
                 duration: descriptor.duration,
-                producers: rec.producers,
                 body,
-            })
+                missing: rec.producers,
+            }))
             .map_err(|_| SubmitError::ShutDown)?;
         Ok(id)
     }
@@ -736,20 +731,21 @@ impl RuntimeHandle {
             .enumerate()
             .map(|(node, shared)| {
                 let stats = shared.stats.lock().expect("node stats poisoned");
+                let [steal, reclaim] = stats.migration;
                 NodeStatsSnapshot {
                     node,
                     admitted: stats.admitted.clone(),
                     executed: stats.executed,
-                    stolen_in: stats.stolen_in,
-                    stolen_out: stats.stolen_out,
-                    steal_requests: stats.steal_requests,
-                    steal_grants: stats.steal_grants,
-                    steal_failures: stats.steal_failures,
-                    reclaimed_in: stats.reclaimed_in,
-                    reclaimed_out: stats.reclaimed_out,
-                    reclaim_requests: stats.reclaim_requests,
-                    reclaim_grants: stats.reclaim_grants,
-                    reclaim_failures: stats.reclaim_failures,
+                    stolen_in: steal.moved_in,
+                    stolen_out: steal.moved_out,
+                    steal_requests: steal.requests,
+                    steal_grants: steal.grants,
+                    steal_failures: steal.failures,
+                    reclaimed_in: reclaim.moved_in,
+                    reclaimed_out: reclaim.moved_out,
+                    reclaim_requests: reclaim.requests,
+                    reclaim_grants: reclaim.grants,
+                    reclaim_failures: reclaim.failures,
                     digest_updates: stats.digest_updates,
                     per_worker_done: shared
                         .per_worker_done
@@ -818,7 +814,8 @@ struct Mgr {
     inner: Arc<Inner>,
     worker_tx: Sender<WorkerMsg>,
     policy: Box<dyn StealPolicy>,
-    steal_enabled: bool,
+    /// Which [`MigrationKind`]s this manager requests when idle.
+    migrating: [bool; 2],
     feedback: FeedbackKind,
     distances: Arc<DistanceMatrix>,
     /// Producers known retired at this node (from local execution, `Notify`,
@@ -828,8 +825,8 @@ struct Mgr {
     subs: FxHashMap<usize, Vec<usize>>,
     /// Producer → local pending tasks waiting on it.
     waiting: FxHashMap<usize, Vec<usize>>,
-    /// Pending tasks by submission index.
-    pending: FxHashMap<usize, PendingTask>,
+    /// Dependence-blocked descriptors by submission index.
+    pending: FxHashMap<usize, Descriptor>,
     /// Forwarding entries for descriptors reclaimed away while still blocked:
     /// producer → thief nodes to relay the retirement `Notify` to, so the
     /// thief's copy of the dependence eventually resolves.
@@ -839,13 +836,13 @@ struct Mgr {
     views: Vec<LoadView>,
     /// Dependence-free descriptors waiting for a worker (the stealable
     /// backlog; thieves take from the back).
-    ready: VecDeque<ReadyTask>,
+    ready: VecDeque<Descriptor>,
     free: usize,
     /// Tasks this node's workers completed (the digest's retire counter —
     /// tracked locally so digest emission never takes the stats lock).
     done: u64,
-    steal_inflight: bool,
-    reclaim_inflight: bool,
+    /// A request of each [`MigrationKind`] is in flight from this node.
+    inflight: [bool; 2],
 }
 
 impl Mgr {
@@ -867,8 +864,9 @@ impl Mgr {
             };
             self.dispatch();
             if idle {
-                self.try_steal();
-                self.try_reclaim();
+                for kind in MigrationKind::ALL {
+                    self.try_migrate(kind);
+                }
             }
             self.sync_board();
         }
@@ -876,41 +874,9 @@ impl Mgr {
 
     fn on_msg(&mut self, msg: MgrMsg) {
         match msg {
-            MgrMsg::Submit {
-                idx,
-                id,
-                duration,
-                producers,
-                body,
-            } => {
-                self.stats().admitted.push(id);
-                let missing: Vec<usize> = producers
-                    .into_iter()
-                    .filter(|p| !self.retired.contains(p))
-                    .collect();
-                if missing.is_empty() {
-                    self.ready.push_back(ReadyTask {
-                        idx,
-                        id,
-                        home: self.node,
-                        duration,
-                        body,
-                    });
-                } else {
-                    for &p in &missing {
-                        self.waiting.entry(p).or_default().push(idx);
-                    }
-                    self.pending.insert(
-                        idx,
-                        PendingTask {
-                            id,
-                            home: self.node,
-                            duration,
-                            body,
-                            missing,
-                        },
-                    );
-                }
+            MgrMsg::Submit(desc) => {
+                self.stats().admitted.push(desc.id);
+                self.admit(desc);
             }
             MgrMsg::Subscribe { producer, to } => {
                 if self.retired.contains(&producer) {
@@ -952,85 +918,33 @@ impl Mgr {
                 self.producer_retired(idx);
                 self.flush_subs(idx);
             }
-            MgrMsg::StealRequest { thief, free } => {
-                let n = self
-                    .policy
-                    .batch_for(free, self.ready.len())
-                    .min(self.ready.len());
-                let mut tasks = Vec::with_capacity(n);
-                for _ in 0..n {
-                    // The youngest ready descriptors leave first: the oldest
-                    // are the ones local consumers have waited on longest.
-                    tasks.push(self.ready.pop_back().expect("batch clamped to backlog"));
-                }
-                if n > 0 {
-                    let mut stats = self.stats();
-                    stats.stolen_out += n as u64;
-                    stats.steal_grants += 1;
-                } else {
-                    self.stats().steal_failures += 1;
-                }
-                if let Some(r) = &self.inner.rec {
-                    for t in &tasks {
-                        r.record_now(SpanEvent::Stolen {
-                            task: t.idx,
-                            from: self.node,
-                            to: thief,
-                        });
-                    }
-                }
-                let _ = self.inner.mgr_tx[thief].send(MgrMsg::StealGrant { tasks });
-            }
-            MgrMsg::StealGrant { tasks } => {
-                self.steal_inflight = false;
+            MgrMsg::MigrateRequest { kind, thief, free } => self.grant(kind, thief, free),
+            MgrMsg::MigrateGrant { kind, tasks } => {
+                self.inflight[kind.index()] = false;
                 if !tasks.is_empty() {
-                    self.stats().stolen_in += tasks.len() as u64;
-                    for t in tasks {
-                        self.ready.push_back(t);
-                    }
-                }
-            }
-            MgrMsg::ReclaimRequest { thief, free } => self.grant_reclaim(thief, free),
-            MgrMsg::ReclaimGrant { tasks } => {
-                self.reclaim_inflight = false;
-                if !tasks.is_empty() {
-                    self.stats().reclaimed_in += tasks.len() as u64;
+                    self.stats().migration[kind.index()].moved_in += tasks.len() as u64;
                 }
                 for t in tasks {
-                    // Producers the thief already knows retired (it executed
-                    // them, or their Notify raced ahead) resolve on arrival;
-                    // the rest wait for the victim's forwarded Notifies.
-                    let missing: Vec<usize> = t
-                        .missing
-                        .into_iter()
-                        .filter(|p| !self.retired.contains(p))
-                        .collect();
-                    if missing.is_empty() {
-                        self.ready.push_back(ReadyTask {
-                            idx: t.idx,
-                            id: t.id,
-                            home: t.home,
-                            duration: t.duration,
-                            body: t.body,
-                        });
-                    } else {
-                        for &p in &missing {
-                            self.waiting.entry(p).or_default().push(t.idx);
-                        }
-                        self.pending.insert(
-                            t.idx,
-                            PendingTask {
-                                id: t.id,
-                                home: t.home,
-                                duration: t.duration,
-                                body: t.body,
-                                missing,
-                            },
-                        );
-                    }
+                    self.admit(t);
                 }
             }
             MgrMsg::Shutdown => unreachable!("handled in the receive loop"),
+        }
+    }
+
+    /// Takes a submitted or migrated descriptor in: producers this node
+    /// already knows retired (it executed them, or their `Notify` raced
+    /// ahead) resolve on arrival; the descriptor is ready if none remain,
+    /// otherwise it waits on the rest.
+    fn admit(&mut self, mut desc: Descriptor) {
+        desc.missing.retain(|p| !self.retired.contains(p));
+        if desc.missing.is_empty() {
+            self.ready.push_back(desc);
+        } else {
+            for &p in &desc.missing {
+                self.waiting.entry(p).or_default().push(desc.idx);
+            }
+            self.pending.insert(desc.idx, desc);
         }
     }
 
@@ -1061,13 +975,7 @@ impl Mgr {
             };
             if now_ready {
                 let t = self.pending.remove(&idx).expect("checked above");
-                self.ready.push_back(ReadyTask {
-                    idx,
-                    id: t.id,
-                    home: t.home,
-                    duration: t.duration,
-                    body: t.body,
-                });
+                self.ready.push_back(t);
             }
         }
     }
@@ -1136,131 +1044,132 @@ impl Mgr {
                     node: self.node,
                 });
             }
-            let _ = self.worker_tx.send(WorkerMsg::Run {
-                idx: t.idx,
-                id: t.id,
-                home: t.home,
-                duration: t.duration,
-                body: t.body,
-            });
+            let _ = self.worker_tx.send(WorkerMsg::Run(t));
         }
     }
 
     /// On an idle tick with free workers and no backlog, snapshots the load
-    /// boards and lets the policy pick a victim — at most one request in
-    /// flight per thief.
-    fn try_steal(&mut self) {
-        if !self.steal_enabled || self.steal_inflight || self.free == 0 || !self.ready.is_empty() {
-            return;
-        }
-        let loads = self.load_board();
-        let Some(victim) =
-            self.policy
-                .choose_victim_tiered(self.node, &loads, Some(&self.distances))
-        else {
-            return;
-        };
-        self.stats().steal_requests += 1;
-        self.steal_inflight = true;
-        let _ = self.inner.mgr_tx[victim].send(MgrMsg::StealRequest {
-            thief: self.node,
-            free: self.free,
-        });
-    }
-
-    /// On an idle tick where stealing found nothing to take (or is disabled),
-    /// asks the reclaim victim choice for a node with dependence-*blocked*
-    /// descriptors and requests a batch — at most one request in flight, and
-    /// only while this node is completely drained (eligible work is always
-    /// the cheaper import).
-    fn try_reclaim(&mut self) {
-        if !self.feedback.reclaim_enabled()
-            || self.reclaim_inflight
-            || self.steal_inflight
+    /// boards and lets the policy pick a `kind` victim — at most one request
+    /// of each kind in flight. A reclaim additionally waits until this node
+    /// is completely drained and no steal is in flight (eligible work is
+    /// always the cheaper import).
+    fn try_migrate(&mut self, kind: MigrationKind) {
+        if !self.migrating[kind.index()]
+            || self.inflight[kind.index()]
             || self.free == 0
             || !self.ready.is_empty()
-            || !self.pending.is_empty()
+        {
+            return;
+        }
+        if kind == MigrationKind::Reclaim
+            && (self.inflight[MigrationKind::Steal.index()] || !self.pending.is_empty())
         {
             return;
         }
         let loads = self.load_board();
-        let live = LiveLoad {
-            views: &self.views,
-            now: self.inner.epoch.elapsed().as_nanos() as u64,
-            half_life: DIGEST_HALF_LIFE_NS,
+        let distances = Some(&*self.distances);
+        let victim = match kind {
+            MigrationKind::Steal => self
+                .policy
+                .choose_victim_tiered(self.node, &loads, distances),
+            MigrationKind::Reclaim => {
+                let live = LiveLoad {
+                    views: &self.views,
+                    now: self.inner.epoch.elapsed().as_nanos() as u64,
+                    half_life: DIGEST_HALF_LIFE_NS,
+                };
+                self.policy
+                    .choose_reclaim_victim(self.node, &loads, Some(live), distances)
+            }
         };
-        let Some(victim) =
-            self.policy
-                .choose_reclaim_victim(self.node, &loads, Some(live), Some(&self.distances))
-        else {
+        let Some(victim) = victim else {
             return;
         };
-        self.stats().reclaim_requests += 1;
-        self.reclaim_inflight = true;
-        let _ = self.inner.mgr_tx[victim].send(MgrMsg::ReclaimRequest {
+        self.stats().migration[kind.index()].requests += 1;
+        self.inflight[kind.index()] = true;
+        let _ = self.inner.mgr_tx[victim].send(MgrMsg::MigrateRequest {
+            kind,
             thief: self.node,
             free: self.free,
         });
     }
 
-    /// Victim side of reclamation: hands the thief up to a policy-sized batch
-    /// of the *youngest* blocked descriptors (highest submission index — the
-    /// oldest are closest to resolving locally), each with its unresolved
-    /// producer list, and registers forwarding entries so every later
-    /// producer retirement this node learns of is relayed to the thief.
-    fn grant_reclaim(&mut self, thief: usize, free: usize) {
-        let mut blocked: Vec<usize> = self.pending.keys().copied().collect();
-        blocked.sort_unstable_by(|a, b| b.cmp(a));
-        let n = self
-            .policy
-            .reclaim_batch(free, blocked.len())
-            .min(blocked.len());
-        let mut tasks = Vec::with_capacity(n);
-        for &idx in blocked.iter().take(n) {
-            let t = self
-                .pending
-                .remove(&idx)
-                .expect("blocked index came from the pending map");
-            for &p in &t.missing {
-                if let Some(w) = self.waiting.get_mut(&p) {
-                    w.retain(|&i| i != idx);
-                    if w.is_empty() {
-                        self.waiting.remove(&p);
-                    }
-                }
-                let thieves = self.reclaimed_away.entry(p).or_default();
-                if !thieves.contains(&thief) {
-                    thieves.push(thief);
-                }
+    /// Victim side of migration: hands the thief up to a policy-sized batch
+    /// of the *youngest* candidates, or an empty-handed grant. A steal takes
+    /// ready descriptors from the back of the queue (the oldest are the ones
+    /// local consumers have waited on longest); a reclaim takes the blocked
+    /// descriptors with the highest submission index (the oldest are closest
+    /// to resolving locally), each with its unresolved producer list, and
+    /// registers forwarding entries so every later producer retirement this
+    /// node learns of is relayed to the thief.
+    fn grant(&mut self, kind: MigrationKind, thief: usize, free: usize) {
+        let tasks: Vec<Descriptor> = match kind {
+            MigrationKind::Steal => {
+                let n = self
+                    .policy
+                    .batch_for(free, self.ready.len())
+                    .min(self.ready.len());
+                (0..n)
+                    .map(|_| self.ready.pop_back().expect("batch clamped to backlog"))
+                    .collect()
             }
-            tasks.push(ReclaimedTask {
-                idx,
-                id: t.id,
-                home: t.home,
-                duration: t.duration,
-                body: t.body,
-                missing: t.missing,
-            });
-        }
-        if tasks.is_empty() {
-            self.stats().reclaim_failures += 1;
-        } else {
-            {
-                let mut stats = self.stats();
-                stats.reclaimed_out += tasks.len() as u64;
-                stats.reclaim_grants += 1;
+            MigrationKind::Reclaim => {
+                let mut blocked: Vec<usize> = self.pending.keys().copied().collect();
+                blocked.sort_unstable_by(|a, b| b.cmp(a));
+                let n = self
+                    .policy
+                    .reclaim_batch(free, blocked.len())
+                    .min(blocked.len());
+                blocked.truncate(n);
+                blocked
+                    .into_iter()
+                    .map(|idx| self.forward_blocked(idx, thief))
+                    .collect()
             }
-            if let Some(r) = &self.inner.rec {
-                for t in &tasks {
-                    r.record_now(SpanEvent::Reclaimed {
-                        task: t.idx,
-                        from: self.node,
-                        to: thief,
-                    });
-                }
+        };
+        {
+            let mut stats = self.stats();
+            let counts = &mut stats.migration[kind.index()];
+            if tasks.is_empty() {
+                counts.failures += 1;
+            } else {
+                counts.moved_out += tasks.len() as u64;
+                counts.grants += 1;
             }
         }
-        let _ = self.inner.mgr_tx[thief].send(MgrMsg::ReclaimGrant { tasks });
+        if let Some(r) = &self.inner.rec {
+            for t in &tasks {
+                let (task, from, to) = (t.idx, self.node, thief);
+                r.record_now(match kind {
+                    MigrationKind::Steal => SpanEvent::Stolen { task, from, to },
+                    MigrationKind::Reclaim => SpanEvent::Reclaimed { task, from, to },
+                });
+            }
+        }
+        let _ = self.inner.mgr_tx[thief].send(MgrMsg::MigrateGrant { kind, tasks });
+    }
+
+    /// Takes the blocked descriptor `idx` out of this node's waiting lists
+    /// and registers a forwarding entry to `thief` for each of its missing
+    /// producers.
+    fn forward_blocked(&mut self, idx: usize, thief: usize) -> Descriptor {
+        let t = self
+            .pending
+            .remove(&idx)
+            .expect("blocked index came from the pending map");
+        for &p in &t.missing {
+            if let Some(w) = self.waiting.get_mut(&p) {
+                w.retain(|&i| i != idx);
+                if w.is_empty() {
+                    self.waiting.remove(&p);
+                }
+            }
+            let thieves = self.reclaimed_away.entry(p).or_default();
+            if !thieves.contains(&thief) {
+                thieves.push(thief);
+            }
+        }
+        t
     }
 
     /// Snapshots every node's published board into the policy-facing
@@ -1320,13 +1229,14 @@ fn worker_loop(
 ) {
     while let Ok(msg) = rx.recv() {
         match msg {
-            WorkerMsg::Run {
+            WorkerMsg::Run(Descriptor {
                 idx,
                 id,
                 home,
                 duration,
                 body,
-            } => {
+                ..
+            }) => {
                 if let Some(r) = &shared.rec {
                     r.record_now(SpanEvent::Started {
                         task: idx,

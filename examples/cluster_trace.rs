@@ -29,12 +29,8 @@ fn main() {
 
     // --- Simulated run: virtual time. -----------------------------------
     let mut sim_rec = MemRecorder::new(TimeBase::VirtualPs);
-    let out = nexus::cluster::simulate_cluster_traced(
-        &trace,
-        &cfg,
-        |_| NexusSharp::paper(6),
-        &mut sim_rec,
-    );
+    let out = nexus::cluster::ClusterDriver::new(&cfg, |_| NexusSharp::paper(6))
+        .run_recorded(&trace, &mut sim_rec);
     let conserved = check_conservation(&sim_rec.events).expect("sim lifecycle must conserve");
     println!(
         "sim: {} tasks, makespan {}, {} steals, {} span events",

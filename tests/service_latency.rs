@@ -13,7 +13,7 @@
 //! * The whole pipeline is deterministic: identical seeds give bit-identical
 //!   percentiles across repeated runs and across both event engines.
 
-use nexus::cluster::{simulate_streaming, StreamingSource};
+use nexus::cluster::{ClusterDriver, StreamingSource};
 use nexus::flow::knee_sweep;
 use nexus::prelude::*;
 use nexus::sim::EngineKind;
@@ -39,9 +39,8 @@ fn closed_loop_streaming_reproduces_batch_makespans_exactly() {
         for (nodes, stealing) in [(1, StealKind::Disabled), (4, StealKind::MostLoaded)] {
             let cfg = ClusterConfig::new(nodes, 4).with_stealing(stealing);
             let batch = simulate_cluster(trace, &cfg, |_| NexusSharp::paper(6));
-            let stream = simulate_streaming(trace, &StreamingSource::closed_loop(), &cfg, |_| {
-                NexusSharp::paper(6)
-            });
+            let stream = ClusterDriver::new(&cfg, |_| NexusSharp::paper(6))
+                .run_streaming(trace, &StreamingSource::closed_loop());
             assert_eq!(
                 stream.cluster.makespan, batch.makespan,
                 "{}/{nodes}n: closed-loop streaming must not perturb the makespan",

@@ -12,7 +12,7 @@
 //!   across reruns.
 
 use nexus::cluster::{
-    simulate_cluster, simulate_cluster_on, ClusterConfig, ClusterOutcome, LinkConfig, Topology,
+    simulate_cluster, ClusterConfig, ClusterDriver, ClusterOutcome, LinkConfig, Topology,
 };
 use nexus::prelude::*;
 use nexus::sched::{PolicyKind, StealKind};
@@ -107,11 +107,12 @@ fn fullmesh_via_topo_reproduces_the_uniform_interconnect_bit_identically() {
     let implicit = simulate_cluster(&trace, &cfg, |_| NexusSharp::paper(6));
     // The same run over an explicitly built uniform full-mesh fabric …
     let fabric = topo::full_mesh(4, cfg.link.latency, cfg.link.per_word);
-    let explicit = simulate_cluster_on(&trace, &cfg, fabric, |_| NexusSharp::paper(6));
+    let explicit = ClusterDriver::with_fabric(&cfg, fabric, |_| NexusSharp::paper(6)).run(&trace);
     // … and over a degenerate single-rack RackTiers fabric (racks of >= 4
     // nodes have no trunks, so every pair rides a direct base link).
     let single_rack = topo::rack_tiers(4, 4, cfg.link.latency, cfg.link.per_word);
-    let degenerate = simulate_cluster_on(&trace, &cfg, single_rack, |_| NexusSharp::paper(6));
+    let degenerate =
+        ClusterDriver::with_fabric(&cfg, single_rack, |_| NexusSharp::paper(6)).run(&trace);
 
     for (label, other) in [("explicit mesh", &explicit), ("single rack", &degenerate)] {
         assert_eq!(implicit.makespan, other.makespan, "{label}");
