@@ -348,24 +348,58 @@ impl IdMap {
     }
 }
 
-/// Per-task routing and cross-node dependency bookkeeping.
+/// Per-task routing and cross-node dependency bookkeeping. The task's
+/// dependence edges live in the run's [`DepTables`].
 struct TaskMeta {
     /// The task's current home node (placement decision, updated on
     /// migration).
     home: usize,
-    /// Indices (into submission order) of *all* distinct last-writer
-    /// producers.
-    producers: Vec<usize>,
-    /// Indices (into submission order) of remote last-writer producers.
-    remote_producers: Vec<usize>,
-    /// Tasks (by index) that have this task as a last-writer producer.
-    consumers: Vec<usize>,
     /// Producer retirement notifications this task still waits for.
     remaining_remote: usize,
     /// When the task retired (if it has).
     retired_at: Option<SimTime>,
     /// Consumers (by index) waiting for this producer's retirement.
     subscribers: Vec<usize>,
+}
+
+/// Every task's dependence edges, built once by [`analyze`] and indexed by
+/// submission order. The lists are stored in compressed sparse row (CSR)
+/// form — one offset array plus one flat `u32` array — so a run holds a
+/// handful of allocations instead of three vectors per task:
+///
+/// * task `i`'s distinct last-writer producers are
+///   `producers[prod_off[i]..prod_off[i + 1]]`, ascending;
+/// * its remote producers (homed on another node) share the producer
+///   offsets: they are `remote[prod_off[i]..][..remote_len[i]]`, a subset of
+///   its producers in the same order. Submit-time re-placement rewrites the
+///   subset in place, which never needs more room than the producers have;
+/// * the tasks that have task `i` as a producer are
+///   `consumers[cons_off[i]..cons_off[i + 1]]`, ascending.
+struct DepTables {
+    prod_off: Vec<u32>,
+    producers: Vec<u32>,
+    remote: Vec<u32>,
+    remote_len: Vec<u32>,
+    cons_off: Vec<u32>,
+    consumers: Vec<u32>,
+}
+
+impl DepTables {
+    /// The distinct last-writer producers of task `idx`.
+    fn producers(&self, idx: usize) -> &[u32] {
+        &self.producers[self.prod_off[idx] as usize..self.prod_off[idx + 1] as usize]
+    }
+
+    /// The tasks that have task `idx` as a last-writer producer.
+    fn consumers(&self, idx: usize) -> &[u32] {
+        &self.consumers[self.cons_off[idx] as usize..self.cons_off[idx + 1] as usize]
+    }
+
+    /// The slab range holding task `idx`'s remote producers.
+    fn remote_range(&self, idx: usize) -> std::ops::Range<usize> {
+        let lo = self.prod_off[idx] as usize;
+        lo..lo + self.remote_len[idx] as usize
+    }
 }
 
 /// Open-loop bookkeeping threaded through the event loop by the streaming
@@ -869,8 +903,13 @@ struct Run<'a, M> {
     master: MasterSm,
     /// Reused buffer for draining manager notifications.
     scratch: Vec<ManagerEvent>,
+    /// Reused buffer for re-placement's producer homes.
+    producer_homes: Vec<usize>,
+    /// Reused buffer for the migration scan's load board.
+    load_board: Vec<NodeLoad>,
     queue: EventQueue<Event>,
     metas: Vec<TaskMeta>,
+    deps: DepTables,
     /// The fabric's distance matrix (static; cloned out of the interconnect
     /// so the policies can consult it while messages are sent).
     distances: DistanceMatrix,
@@ -894,11 +933,13 @@ impl<'a, M: TaskManager> Run<'a, M> {
         let idx_of = IdMap::build(&tasks);
         let durations = tasks.iter().map(|t| t.duration).collect();
         let distances = net.distances().clone();
-        let (metas, edges) = analyze(&cfg, &tasks, &distances);
+        let (metas, deps, edges) = analyze(&cfg, &tasks, &distances);
         let feedback = cfg.feedback;
         Run {
             queue: EventQueue::with_engine(cfg.engine),
             scratch: Vec::new(),
+            producer_homes: Vec::new(),
+            load_board: Vec::new(),
             master: MasterSm::new(),
             supports_taskwait_on: nodes[0].manager.supports_taskwait_on(),
             policy: cfg.stealing.build(),
@@ -920,6 +961,7 @@ impl<'a, M: TaskManager> Run<'a, M> {
             durations,
             distances,
             metas,
+            deps,
             edges,
             flow,
             rec,
@@ -1024,7 +1066,7 @@ impl<'a, M: TaskManager> Run<'a, M> {
                     if let Some(pos) = n.parked.iter().position(|&i| i == idx) {
                         n.parked.swap_remove(pos);
                         debug_assert!(
-                            eligible(&self.metas, idx),
+                            eligible(&self.metas, &self.deps, idx),
                             "unparked task {idx} still has unretired producers"
                         );
                         n.push_front(idx);
@@ -1134,35 +1176,35 @@ impl<'a, M: TaskManager> Run<'a, M> {
                 // notification count are recomputed from the producers'
                 // *current* homes — a producer that already subscribed this
                 // task keeps exactly one subscription.
-                let metas = &mut self.metas;
-                let producer_homes: Vec<usize> = metas[idx]
-                    .producers
-                    .iter()
-                    .map(|&p| metas[p].home)
-                    .collect();
+                let (metas, deps) = (&mut self.metas, &mut self.deps);
+                self.producer_homes.clear();
+                self.producer_homes
+                    .extend(deps.producers(idx).iter().map(|&p| metas[p as usize].home));
                 let home = FeedbackPlacement.place(
                     self.tasks[idx],
                     &PlacementCtx {
                         nodes: self.cfg.nodes,
                         loads: &self.placed_loads,
-                        producer_homes: &producer_homes,
+                        producer_homes: &self.producer_homes,
                         distances: Some(&self.distances),
                         live: Some(tr.live(now.as_ps())),
                     },
                 );
                 metas[idx].home = home;
-                let mut remaining = 0;
-                let mut remote = Vec::new();
-                for &p in &metas[idx].producers {
-                    if metas[p].subscribers.contains(&idx) {
-                        remaining += 1;
-                    } else if metas[p].home != home {
-                        remote.push(p);
+                let (lo, hi) = (deps.prod_off[idx] as usize, deps.prod_off[idx + 1] as usize);
+                let mut subscribed = 0;
+                let mut remote = lo;
+                for k in lo..hi {
+                    let p = deps.producers[k];
+                    if metas[p as usize].subscribers.contains(&idx) {
+                        subscribed += 1;
+                    } else if metas[p as usize].home != home {
+                        deps.remote[remote] = p;
+                        remote += 1;
                     }
                 }
-                remaining += remote.len();
-                metas[idx].remote_producers = remote;
-                metas[idx].remaining_remote = remaining;
+                deps.remote_len[idx] = (remote - lo) as u32;
+                metas[idx].remaining_remote = subscribed + remote - lo;
             }
         }
         let home = self.metas[idx].home;
@@ -1200,11 +1242,9 @@ impl<'a, M: TaskManager> Run<'a, M> {
         let sender_free =
             self.send_msg(0, home, words, now, Deliver::Descriptor { node: home, idx });
         // Subscribe to (or directly forward) the remote dependency
-        // notifications the task needs. The producer list is moved out and
-        // restored (a task is never its own producer) to keep the hot path
-        // free of per-submit clones.
-        let producers = std::mem::take(&mut self.metas[idx].remote_producers);
-        for &p in &producers {
+        // notifications the task needs.
+        for k in self.deps.remote_range(idx) {
+            let p = self.deps.remote[k] as usize;
             match self.metas[p].retired_at {
                 Some(_) => {
                     let ph = self.metas[p].home;
@@ -1214,7 +1254,6 @@ impl<'a, M: TaskManager> Run<'a, M> {
                 None => self.metas[p].subscribers.push(idx),
             }
         }
-        self.metas[idx].remote_producers = producers;
         self.queue.schedule(sender_free.max(now), Event::MasterStep);
     }
 
@@ -1299,23 +1338,21 @@ impl<'a, M: TaskManager> Run<'a, M> {
     /// The per-node load board handed to migration victim selection, built
     /// through the shared [`NodeLoad::snapshot`] constructor (the live
     /// runtime's manager loop builds its board through the same one).
-    fn load_board(&self) -> Vec<NodeLoad> {
-        self.nodes
-            .iter()
-            .map(|n| {
-                NodeLoad::snapshot(
-                    n.pending.len(),
-                    n.pending
-                        .iter()
-                        .filter(|&&i| eligible(&self.metas, i))
-                        .count(),
-                    n.pool.queued(),
-                    n.pool.free(),
-                    n.outstanding,
-                    n.pool.total_speed_milli(),
-                )
-            })
-            .collect()
+    fn fill_load_board(&self, board: &mut Vec<NodeLoad>) {
+        board.clear();
+        board.extend(self.nodes.iter().map(|n| {
+            NodeLoad::snapshot(
+                n.pending.len(),
+                n.pending
+                    .iter()
+                    .filter(|&&i| eligible(&self.metas, &self.deps, i))
+                    .count(),
+                n.pool.queued(),
+                n.pool.free(),
+                n.outstanding,
+                n.pool.total_speed_milli(),
+            )
+        }));
     }
 
     /// Issues `kind` requests from every node that may migrate (see
@@ -1326,7 +1363,8 @@ impl<'a, M: TaskManager> Run<'a, M> {
         if !self.nodes.iter().any(|n| n.may_migrate(kind, now)) {
             return;
         }
-        let loads = self.load_board();
+        let mut loads = std::mem::take(&mut self.load_board);
+        self.fill_load_board(&mut loads);
         for thief in 0..self.nodes.len() {
             if !self.nodes[thief].may_migrate(kind, now) {
                 continue;
@@ -1356,6 +1394,7 @@ impl<'a, M: TaskManager> Run<'a, M> {
             };
             self.send_msg(thief, victim, kind.words(), now, request);
         }
+        self.load_board = loads;
     }
 
     /// Handles a `kind` request arriving at `victim`: hand over up to a batch
@@ -1376,7 +1415,7 @@ impl<'a, M: TaskManager> Run<'a, M> {
             let pending = &self.nodes[victim].pending;
             (0..pending.len())
                 .rev()
-                .filter(|&pos| eligible(&self.metas, pending[pos]) == take_eligible)
+                .filter(|&pos| eligible(&self.metas, &self.deps, pending[pos]) == take_eligible)
                 .collect()
         };
         let free = self.nodes[thief].pool.free();
@@ -1418,27 +1457,25 @@ impl<'a, M: TaskManager> Run<'a, M> {
                 fs.on_slot_freed(victim, now, &mut self.queue);
                 fs.note_migrated_in(thief);
             }
-            let metas = &mut self.metas;
+            let (metas, deps) = (&mut self.metas, &self.deps);
             debug_assert_eq!(metas[idx].home, victim, "migrated task must be at home");
-            let consumers = std::mem::take(&mut metas[idx].consumers);
-            for &c in &consumers {
+            for &c in deps.consumers(idx) {
+                let c = c as usize;
                 if metas[c].home == victim && !metas[idx].subscribers.contains(&c) {
                     metas[c].remaining_remote += 1;
                     metas[idx].subscribers.push(c);
                 }
             }
-            metas[idx].consumers = consumers;
             // Already-subscribed producers (the task was their remote
             // consumer all along) keep exactly one subscription. A stolen
             // task has no unretired producer, so this is a no-op for steals.
-            let producers = std::mem::take(&mut metas[idx].producers);
-            for &p in &producers {
+            for &p in deps.producers(idx) {
+                let p = p as usize;
                 if metas[p].retired_at.is_none() && !metas[p].subscribers.contains(&idx) {
                     metas[idx].remaining_remote += 1;
                     metas[p].subscribers.push(idx);
                 }
             }
-            metas[idx].producers = producers;
             metas[idx].home = thief;
             let (task, from, to) = (idx, victim, thief);
             self.record(
@@ -1478,7 +1515,7 @@ impl<'a, M: TaskManager> Run<'a, M> {
             .expect("migration accounting underflow: arrival without a grant");
         n.touch(now);
         n.outstanding += 1;
-        let ready = eligible(&self.metas, idx);
+        let ready = eligible(&self.metas, &self.deps, idx);
         debug_assert!(
             ready || kind == MigrationKind::Reclaim,
             "stolen task {idx} arrived with unretired producers"
@@ -1695,42 +1732,74 @@ impl<'a, M: TaskManager> Run<'a, M> {
 /// reported statistics and the enforced dependencies cannot diverge). The
 /// fabric's distance matrix is handed to the placement policy so
 /// distance-aware placements see the real tiers.
+///
+/// The scan appends every task's producers and remote producers straight
+/// into the [`DepTables`] slabs; a counting pass over the producer edges
+/// then sizes each task's consumer row and a second pass fills the rows in
+/// submission order.
 fn analyze(
     cfg: &ClusterConfig,
     tasks: &[&TaskDescriptor],
     distances: &DistanceMatrix,
-) -> (Vec<TaskMeta>, EdgeStats) {
+) -> (Vec<TaskMeta>, DepTables, EdgeStats) {
     let mut scanner =
         DepScanner::with_policy(cfg.nodes, cfg.placement.build()).with_distances(distances.clone());
-    let mut metas: Vec<TaskMeta> = Vec::with_capacity(tasks.len());
+    let n = tasks.len();
+    let mut metas: Vec<TaskMeta> = Vec::with_capacity(n);
+    let mut prod_off = Vec::with_capacity(n + 1);
+    let mut remote_len = Vec::with_capacity(n);
+    let (mut producers, mut remote) = (Vec::new(), Vec::new());
+    prod_off.push(0);
     for task in tasks {
-        let i = metas.len();
-        let r = scanner.scan_full(task);
-        for &p in &r.producers {
-            metas[p].consumers.push(i);
-        }
+        let start = producers.len();
+        let home = scanner.scan_into(task, None, &mut producers, &mut remote);
+        let remotes = remote.len() - start;
+        remote.resize(producers.len(), 0);
+        prod_off.push(u32::try_from(producers.len()).expect("more than u32::MAX edges"));
+        remote_len.push(remotes as u32);
         metas.push(TaskMeta {
-            home: r.home,
-            remaining_remote: r.remote_producers.len(),
-            producers: r.producers,
-            remote_producers: r.remote_producers,
-            consumers: Vec::new(),
+            home,
+            remaining_remote: remotes,
             retired_at: None,
             subscribers: Vec::new(),
         });
     }
-    (metas, scanner.stats())
+    let mut cons_off = vec![0u32; n + 1];
+    for &p in &producers {
+        cons_off[p as usize + 1] += 1;
+    }
+    for i in 0..n {
+        cons_off[i + 1] += cons_off[i];
+    }
+    let mut next = cons_off.clone();
+    let mut consumers = vec![0u32; producers.len()];
+    for (i, w) in prod_off.windows(2).enumerate() {
+        for &p in &producers[w[0] as usize..w[1] as usize] {
+            let slot = &mut next[p as usize];
+            consumers[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+    }
+    let deps = DepTables {
+        prod_off,
+        producers,
+        remote,
+        remote_len,
+        cons_off,
+        consumers,
+    };
+    (metas, deps, scanner.stats())
 }
 
 /// True if the descriptor at `idx` is *eligible*: every last-writer producer
 /// has retired and no notification is still in flight, so the task can
 /// execute on any node without waiting on anything.
-fn eligible(metas: &[TaskMeta], idx: usize) -> bool {
+fn eligible(metas: &[TaskMeta], deps: &DepTables, idx: usize) -> bool {
     metas[idx].remaining_remote == 0
-        && metas[idx]
-            .producers
+        && deps
+            .producers(idx)
             .iter()
-            .all(|&p| metas[p].retired_at.is_some())
+            .all(|&p| metas[p as usize].retired_at.is_some())
 }
 
 /// Moves drained manager notifications onto the global event queue.

@@ -13,7 +13,6 @@ use nexus_sim::FxHashMap;
 use nexus_topo::DistanceMatrix;
 use nexus_trace::{TaskDescriptor, Trace};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 pub use nexus_sched::primary_addr;
 
@@ -72,8 +71,10 @@ pub struct DepScanner {
     /// Interconnect distance matrix handed to the policy (None = uniform
     /// wiring; distance-aware policies fall back to remote-edge counting).
     distances: Option<DistanceMatrix>,
-    last_writer: FxHashMap<u64, usize>,
+    last_writer: FxHashMap<u64, u32>,
     homes: Vec<usize>,
+    /// Reused buffer for the current task's producer homes.
+    producer_homes: Vec<usize>,
     loads: Vec<PlacedLoad>,
     stats: EdgeStats,
 }
@@ -93,6 +94,7 @@ impl DepScanner {
             distances: None,
             last_writer: FxHashMap::default(),
             homes: Vec::new(),
+            producer_homes: Vec::new(),
             loads: vec![PlacedLoad::default(); nodes],
             stats: EdgeStats::default(),
         }
@@ -139,23 +141,60 @@ impl DepScanner {
         task: &TaskDescriptor,
         live: Option<LiveLoad<'_>>,
     ) -> ScanRecord {
-        let i = self.homes.len();
+        let (mut producers, mut remote) = (Vec::new(), Vec::new());
+        let home = self.scan_into(task, live, &mut producers, &mut remote);
+        let widen = |v: Vec<u32>| v.into_iter().map(|d| d as usize).collect();
+        ScanRecord {
+            home,
+            producers: widen(producers),
+            remote_producers: widen(remote),
+        }
+    }
+
+    /// The scan itself, allocation-free once the caller's buffers and the
+    /// scanner's tables have grown: places the next task and appends its
+    /// distinct last-writer producers (indices into submission order,
+    /// ascending) to `producers` and the remote subset, in the same order, to
+    /// `remote`. Returns the task's home node. Every other scan entry point
+    /// wraps this one.
+    ///
+    /// # Panics
+    /// Panics past `u32::MAX` scanned tasks.
+    pub fn scan_into(
+        &mut self,
+        task: &TaskDescriptor,
+        live: Option<LiveLoad<'_>>,
+        producers: &mut Vec<u32>,
+        remote: &mut Vec<u32>,
+    ) -> usize {
+        let i = u32::try_from(self.homes.len()).expect("more than u32::MAX scanned tasks");
         // `last_writer` only holds indices of previously scanned tasks, so a
         // task can never appear as its own producer.
-        let producers: Vec<usize> = task
-            .params
-            .iter()
-            .filter_map(|p| self.last_writer.get(&p.addr).copied())
-            .collect::<BTreeSet<usize>>()
-            .into_iter()
-            .collect();
-        let producer_homes: Vec<usize> = producers.iter().map(|&d| self.homes[d]).collect();
+        let start = producers.len();
+        producers.extend(
+            task.params
+                .iter()
+                .filter_map(|p| self.last_writer.get(&p.addr).copied()),
+        );
+        producers[start..].sort_unstable();
+        let mut len = start;
+        for k in start..producers.len() {
+            if len == start || producers[k] != producers[len - 1] {
+                producers[len] = producers[k];
+                len += 1;
+            }
+        }
+        producers.truncate(len);
+        let mine = &producers[start..];
+        self.producer_homes.clear();
+        self.producer_homes
+            .extend(mine.iter().map(|&d| self.homes[d as usize]));
         let home = self.policy.place(
             task,
             &PlacementCtx {
                 nodes: self.nodes,
                 loads: &self.loads,
-                producer_homes: &producer_homes,
+                producer_homes: &self.producer_homes,
                 distances: self.distances.as_ref(),
                 live,
             },
@@ -166,24 +205,22 @@ impl DepScanner {
             self.policy.name(),
             self.nodes
         );
-        let remote_producers: Vec<usize> = producers
-            .iter()
-            .copied()
-            .filter(|&d| self.homes[d] != home)
-            .collect();
-        self.stats.total += producers.len() as u64;
-        self.stats.remote += remote_producers.len() as u64;
+        let remote_start = remote.len();
+        remote.extend(
+            mine.iter()
+                .zip(&self.producer_homes)
+                .filter(|&(_, &h)| h != home)
+                .map(|(&d, _)| d),
+        );
+        self.stats.total += mine.len() as u64;
+        self.stats.remote += (remote.len() - remote_start) as u64;
         self.homes.push(home);
         self.loads[home].tasks += 1;
         self.loads[home].work += task.duration;
         for p in task.outputs() {
             self.last_writer.insert(p.addr, i);
         }
-        ScanRecord {
-            home,
-            producers,
-            remote_producers,
-        }
+        home
     }
 
     /// The edge census accumulated so far.
@@ -320,6 +357,141 @@ mod tests {
                 remote: 1
             }
         );
+    }
+
+    /// The scan as it was written before the allocation-free core: a
+    /// `BTreeSet` of producers per task and fresh vectors for the rest.
+    struct ReferenceScan {
+        nodes: usize,
+        policy: Box<dyn PlacementPolicy>,
+        distances: DistanceMatrix,
+        last_writer: std::collections::HashMap<u64, usize>,
+        homes: Vec<usize>,
+        loads: Vec<PlacedLoad>,
+        stats: EdgeStats,
+    }
+
+    impl ReferenceScan {
+        /// Returns the home, the producers and the remote producers.
+        fn scan(&mut self, task: &TaskDescriptor) -> (usize, Vec<usize>, Vec<usize>) {
+            let producers: Vec<usize> = task
+                .params
+                .iter()
+                .filter_map(|p| self.last_writer.get(&p.addr).copied())
+                .collect::<std::collections::BTreeSet<usize>>()
+                .into_iter()
+                .collect();
+            let producer_homes: Vec<usize> = producers.iter().map(|&d| self.homes[d]).collect();
+            let home = self.policy.place(
+                task,
+                &PlacementCtx {
+                    nodes: self.nodes,
+                    loads: &self.loads,
+                    producer_homes: &producer_homes,
+                    distances: Some(&self.distances),
+                    live: None,
+                },
+            );
+            let remote: Vec<usize> = producers
+                .iter()
+                .copied()
+                .filter(|&d| self.homes[d] != home)
+                .collect();
+            self.stats.total += producers.len() as u64;
+            self.stats.remote += remote.len() as u64;
+            self.homes.push(home);
+            self.loads[home].tasks += 1;
+            self.loads[home].work += task.duration;
+            for p in task.outputs() {
+                self.last_writer.insert(p.addr, self.homes.len() - 1);
+            }
+            (home, producers, remote)
+        }
+    }
+
+    #[test]
+    fn allocation_free_scan_matches_a_btreeset_reference() {
+        use crate::config::{LinkConfig, Topology};
+        // Task 2 reads and writes task 0's first address three times and
+        // reads its second once, then reads one of task 1's: two producers,
+        // each listed once.
+        let mut repeated = Trace::new("repeated");
+        for (id, aff) in [(0, 0), (1, 1)] {
+            repeated.submit(
+                TaskDescriptor::builder(id)
+                    .output(0x1000 + id * 0x40)
+                    .output(0x2000 + id * 0x40)
+                    .affinity(aff)
+                    .build(),
+            );
+        }
+        repeated.submit(
+            TaskDescriptor::builder(2)
+                .input(0x1000)
+                .inout(0x1000)
+                .input(0x2000)
+                .input(0x1040)
+                .inout(0x1000)
+                .build(),
+        );
+        let sparselu = distributed::sparselu(4, 0.4, 5, 0.002);
+        let traces = [
+            repeated,
+            distributed::unhinted(&sparselu),
+            sparselu,
+            distributed::wavefront(4, 0.3, 5, 7, SimDuration::from_us(10), 3),
+        ];
+        let distances = LinkConfig::rdma()
+            .with_topology(Topology::RackTiers)
+            .fabric(4)
+            .distances();
+        for trace in &traces {
+            for policy in [
+                PolicyKind::XorHash,
+                PolicyKind::LocalityAware,
+                PolicyKind::TopologyAware,
+            ] {
+                let mut scanner =
+                    DepScanner::with_policy(4, policy.build()).with_distances(distances.clone());
+                let mut wrapped =
+                    DepScanner::with_policy(4, policy.build()).with_distances(distances.clone());
+                let mut reference = ReferenceScan {
+                    nodes: 4,
+                    policy: policy.build(),
+                    distances: distances.clone(),
+                    last_writer: Default::default(),
+                    homes: Vec::new(),
+                    loads: vec![PlacedLoad::default(); 4],
+                    stats: EdgeStats::default(),
+                };
+                // The core appends to buffers shared by every task.
+                let (mut producers, mut remote) = (Vec::new(), Vec::new());
+                for task in trace.tasks() {
+                    let what = format!("{} under {policy:?}, task {}", trace.name, task.id);
+                    let (p0, r0) = (producers.len(), remote.len());
+                    let home = scanner.scan_into(task, None, &mut producers, &mut remote);
+                    let (want_home, want_producers, want_remote) = reference.scan(task);
+                    let got: Vec<usize> = producers[p0..].iter().map(|&d| d as usize).collect();
+                    let got_remote: Vec<usize> = remote[r0..].iter().map(|&d| d as usize).collect();
+                    assert!(got.windows(2).all(|w| w[0] < w[1]), "{what}: {got:?}");
+                    assert_eq!(home, want_home, "{what}: home");
+                    assert_eq!(got, want_producers, "{what}: producers");
+                    assert_eq!(got_remote, want_remote, "{what}: remote producers");
+                    let r = wrapped.scan_full(task);
+                    assert_eq!(
+                        (r.home, r.producers, r.remote_producers),
+                        (want_home, want_producers, want_remote),
+                        "{what}: scan_full"
+                    );
+                }
+                assert_eq!(scanner.stats(), reference.stats, "{}", trace.name);
+                assert_eq!(wrapped.stats(), reference.stats, "{}", trace.name);
+            }
+        }
+        // The repeated-address task lists each producer once.
+        let mut scanner = DepScanner::new(2);
+        let records: Vec<ScanRecord> = traces[0].tasks().map(|t| scanner.scan_full(t)).collect();
+        assert_eq!(records[2].producers, vec![0, 1]);
     }
 
     #[test]

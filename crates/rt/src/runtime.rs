@@ -196,6 +196,10 @@ struct NodeShared {
 struct RetireLog {
     order: Vec<TaskId>,
     set: FxHashSet<TaskId>,
+    /// Threads blocked on `Inner::log_cv`. Every waiter counts itself in
+    /// and out under the log lock, so a retirement that reads zero here
+    /// under the same lock can skip the wake-up without losing one.
+    waiters: usize,
 }
 
 /// Master-side submission state, serialized under one lock so placement and
@@ -239,6 +243,35 @@ struct Inner {
 impl Inner {
     fn lock_log(&self) -> MutexGuard<'_, RetireLog> {
         self.log.lock().expect("retire log poisoned")
+    }
+
+    /// Blocks on the retire log until `done` holds, counting the caller
+    /// among the log's waiters meanwhile. With `deadline`, gives up once it
+    /// passes. Returns the log, still locked.
+    fn wait_log(
+        &self,
+        deadline: Option<Instant>,
+        mut done: impl FnMut(&RetireLog) -> bool,
+    ) -> MutexGuard<'_, RetireLog> {
+        let mut log = self.lock_log();
+        log.waiters += 1;
+        while !done(&log) {
+            log = match deadline {
+                None => self.log_cv.wait(log).expect("retire log poisoned"),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        break;
+                    }
+                    self.log_cv
+                        .wait_timeout(log, left)
+                        .expect("retire log poisoned")
+                        .0
+                }
+            };
+        }
+        log.waiters -= 1;
+        log
     }
 }
 
@@ -530,21 +563,9 @@ impl ClusterRuntime {
         let inner = self.inner.take().expect("running runtime has inner state");
         if let Some(timeout) = wait {
             let deadline = Instant::now() + timeout;
-            let mut log = inner.lock_log();
-            loop {
-                if log.order.len() as u64 >= inner.submitted.load(Ordering::Acquire) {
-                    break;
-                }
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break;
-                }
-                log = inner
-                    .log_cv
-                    .wait_timeout(log, left)
-                    .expect("retire log poisoned")
-                    .0;
-            }
+            drop(inner.wait_log(Some(deadline), |log| {
+                log.order.len() as u64 >= inner.submitted.load(Ordering::Acquire)
+            }));
         }
         inner.shutdown.store(true, Ordering::Release);
         inner.sub.lock().expect("submit state poisoned").closed = true;
@@ -552,7 +573,9 @@ impl ClusterRuntime {
             let _ = tx.send(MgrMsg::Shutdown);
         }
         // Wake anyone parked in taskwait/run_trace so they observe the
-        // shutdown instead of sleeping forever.
+        // shutdown instead of sleeping forever. Taking the log lock first
+        // orders the wake-up after any waiter's last shutdown check.
+        drop(inner.lock_log());
         inner.log_cv.notify_all();
         let threads = std::mem::take(&mut self.threads);
         if wait.is_some() {
@@ -683,10 +706,10 @@ impl RuntimeHandle {
     /// runtime shuts down, whichever comes first).
     pub fn taskwait(&self) {
         let target = self.inner.submitted.load(Ordering::Acquire);
-        let mut log = self.inner.lock_log();
-        while (log.order.len() as u64) < target && !self.inner.shutdown.load(Ordering::Acquire) {
-            log = self.inner.log_cv.wait(log).expect("retire log poisoned");
-        }
+        let inner = &self.inner;
+        drop(inner.wait_log(None, |log| {
+            log.order.len() as u64 >= target || inner.shutdown.load(Ordering::Acquire)
+        }));
     }
 
     /// Blocks until the last task that wrote `addr` has retired — a no-op if
@@ -698,10 +721,10 @@ impl RuntimeHandle {
             sub.last_writer.get(&addr).copied()
         };
         let Some(target) = target else { return };
-        let mut log = self.inner.lock_log();
-        while !log.set.contains(&target) && !self.inner.shutdown.load(Ordering::Acquire) {
-            log = self.inner.log_cv.wait(log).expect("retire log poisoned");
-        }
+        let inner = &self.inner;
+        drop(inner.wait_log(None, |log| {
+            log.set.contains(&target) || inner.shutdown.load(Ordering::Acquire)
+        }));
     }
 
     /// Tasks submitted so far.
@@ -787,12 +810,12 @@ impl RuntimeHandle {
                 }
                 MasterStep::Compute(_) | MasterStep::Continue => {}
                 MasterStep::Waiting => {
-                    let mut log = self.inner.lock_log();
-                    while log.order.len() == fed {
-                        if self.inner.shutdown.load(Ordering::Acquire) {
-                            return Err(SubmitError::ShutDown);
-                        }
-                        log = self.inner.log_cv.wait(log).expect("retire log poisoned");
+                    let inner = &self.inner;
+                    let log = inner.wait_log(None, |log| {
+                        log.order.len() > fed || inner.shutdown.load(Ordering::Acquire)
+                    });
+                    if log.order.len() == fed {
+                        return Err(SubmitError::ShutDown);
                     }
                 }
                 MasterStep::Done => break,
@@ -895,18 +918,22 @@ impl Mgr {
                 self.done += 1;
                 self.stats().executed += 1;
                 self.publish_digest();
-                {
+                let waiters = {
                     let mut log = self.inner.lock_log();
                     log.order.push(id);
                     log.set.insert(id);
-                }
+                    log.waiters
+                };
                 if let Some(r) = &self.inner.rec {
                     r.record_now(SpanEvent::Retired {
                         task: idx,
                         node: self.node,
                     });
                 }
-                self.inner.log_cv.notify_all();
+                // Futex condvars make a syscall per notify, waiter or not.
+                if waiters > 0 {
+                    self.inner.log_cv.notify_all();
+                }
                 self.producer_retired(idx);
                 if home == self.node {
                     self.flush_subs(idx);

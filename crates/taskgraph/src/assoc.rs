@@ -69,12 +69,6 @@ pub enum Placement {
     Overflow,
 }
 
-#[derive(Debug, Clone)]
-struct WayEntry<V> {
-    addr: u64,
-    value: V,
-}
-
 /// Occupancy and event statistics of a table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TableStats {
@@ -93,10 +87,21 @@ pub struct TableStats {
 }
 
 /// A set-associative table keyed by 48-bit addresses with an overflow area.
+///
+/// The `sets × ways` entries sit in one contiguous array, set after set, as
+/// the ways of a hardware set sit side by side: set `s` owns slots
+/// `s * ways .. (s + 1) * ways`, of which the first `fill[s]` are live. The
+/// address tags are kept apart from the values so a lookup compares one
+/// short run of tags.
 #[derive(Debug, Clone)]
 pub struct SetAssocTable<V> {
     config: SetAssocConfig,
-    sets: Vec<Vec<WayEntry<V>>>,
+    /// Address tag of every slot (stale beyond the set's fill count).
+    tags: Vec<u64>,
+    /// Value of every slot, `Some` exactly in the live ones.
+    values: Vec<Option<V>>,
+    /// Live ways per set.
+    fill: Vec<usize>,
     overflow: FxHashMap<u64, V>,
     stats: TableStats,
 }
@@ -108,11 +113,12 @@ impl<V> SetAssocTable<V> {
     /// Panics if the geometry is invalid.
     pub fn new(config: SetAssocConfig) -> Self {
         config.validate().expect("invalid set-associative geometry");
+        let slots = config.capacity();
         SetAssocTable {
             config,
-            sets: (0..config.sets)
-                .map(|_| Vec::with_capacity(config.ways))
-                .collect(),
+            tags: vec![0; slots],
+            values: (0..slots).map(|_| None).collect(),
+            fill: vec![0; config.sets],
             overflow: FxHashMap::default(),
             stats: TableStats::default(),
         }
@@ -138,11 +144,24 @@ impl<V> SetAssocTable<V> {
         self.len() == 0
     }
 
+    /// First slot of `set`.
+    fn base(&self, set: usize) -> usize {
+        set * self.config.ways
+    }
+
+    /// The slot holding `addr` in its home `set`, if it is resident there.
+    fn find(&self, set: usize, addr: u64) -> Option<usize> {
+        let base = self.base(set);
+        self.tags[base..base + self.fill[set]]
+            .iter()
+            .position(|&t| t == addr)
+            .map(|way| base + way)
+    }
+
     /// Looks up an entry, reporting where it was found.
     pub fn get(&self, addr: u64) -> Option<(&V, Placement)> {
-        let set = &self.sets[self.config.set_of(addr)];
-        if let Some(e) = set.iter().find(|e| e.addr == addr) {
-            return Some((&e.value, Placement::Way));
+        if let Some(slot) = self.find(self.config.set_of(addr), addr) {
+            return self.values[slot].as_ref().map(|v| (v, Placement::Way));
         }
         self.overflow.get(&addr).map(|v| (v, Placement::Overflow))
     }
@@ -150,9 +169,8 @@ impl<V> SetAssocTable<V> {
     /// Mutable lookup, reporting where the entry was found and counting
     /// overflow hits.
     pub fn get_mut(&mut self, addr: u64) -> Option<(&mut V, Placement)> {
-        let set = &mut self.sets[self.config.set_of(addr)];
-        if let Some(pos) = set.iter().position(|e| e.addr == addr) {
-            return Some((&mut set[pos].value, Placement::Way));
+        if let Some(slot) = self.find(self.config.set_of(addr), addr) {
+            return self.values[slot].as_mut().map(|v| (v, Placement::Way));
         }
         if let Some(v) = self.overflow.get_mut(&addr) {
             self.stats.overflow_hits += 1;
@@ -168,9 +186,10 @@ impl<V> SetAssocTable<V> {
         addr: u64,
         init: impl FnOnce() -> V,
     ) -> (&mut V, Placement, bool) {
-        let set_idx = self.config.set_of(addr);
-        if let Some(pos) = self.sets[set_idx].iter().position(|e| e.addr == addr) {
-            return (&mut self.sets[set_idx][pos].value, Placement::Way, false);
+        let set = self.config.set_of(addr);
+        if let Some(slot) = self.find(set, addr) {
+            let v = self.values[slot].as_mut().expect("live way");
+            return (v, Placement::Way, false);
         }
         if self.overflow.contains_key(&addr) {
             self.stats.overflow_hits += 1;
@@ -180,15 +199,14 @@ impl<V> SetAssocTable<V> {
         // Allocate.
         self.stats.insertions += 1;
         self.stats.peak_live = self.stats.peak_live.max(self.len() + 1);
-        let set = &mut self.sets[set_idx];
-        if set.len() < self.config.ways {
+        let fill = self.fill[set];
+        if fill < self.config.ways {
             self.stats.resident += 1;
-            set.push(WayEntry {
-                addr,
-                value: init(),
-            });
-            let e = set.last_mut().expect("just pushed");
-            (&mut e.value, Placement::Way, true)
+            self.fill[set] = fill + 1;
+            let slot = self.base(set) + fill;
+            self.tags[slot] = addr;
+            let v = self.values[slot].insert(init());
+            (v, Placement::Way, true)
         } else {
             self.stats.overflow_insertions += 1;
             self.stats.overflowed += 1;
@@ -200,12 +218,18 @@ impl<V> SetAssocTable<V> {
         }
     }
 
-    /// Removes the entry for `addr`, returning its value.
+    /// Removes the entry for `addr`, returning its value. The set's last live
+    /// way moves into the freed slot (`Vec::swap_remove` order).
     pub fn remove(&mut self, addr: u64) -> Option<V> {
-        let set_idx = self.config.set_of(addr);
-        if let Some(pos) = self.sets[set_idx].iter().position(|e| e.addr == addr) {
+        let set = self.config.set_of(addr);
+        if let Some(slot) = self.find(set, addr) {
             self.stats.resident -= 1;
-            return Some(self.sets[set_idx].swap_remove(pos).value);
+            self.fill[set] -= 1;
+            let last = self.base(set) + self.fill[set];
+            let v = self.values[slot].take();
+            self.tags[slot] = self.tags[last];
+            self.values.swap(slot, last);
+            return v;
         }
         if let Some(v) = self.overflow.remove(&addr) {
             self.stats.overflowed -= 1;
@@ -214,11 +238,12 @@ impl<V> SetAssocTable<V> {
         None
     }
 
-    /// Iterates over all live entries (way entries first, then overflow).
+    /// Iterates over all live entries (way entries set by set, then overflow).
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
-        self.sets
+        self.tags
             .iter()
-            .flat_map(|s| s.iter().map(|e| (e.addr, &e.value)))
+            .zip(&self.values)
+            .filter_map(|(&addr, v)| v.as_ref().map(|v| (addr, v)))
             .chain(self.overflow.iter().map(|(a, v)| (*a, v)))
     }
 }
@@ -290,6 +315,134 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, (0..6).map(|i| i * 64).collect::<Vec<_>>());
         assert_eq!(t.len(), 6);
+    }
+
+    /// The table as it was stored before the flat layout: one `Vec` per set
+    /// with `swap_remove` removal, and the same overflow map and statistics.
+    struct Reference {
+        config: SetAssocConfig,
+        sets: Vec<Vec<(u64, u32)>>,
+        overflow: FxHashMap<u64, u32>,
+        stats: TableStats,
+    }
+
+    impl Reference {
+        fn new(config: SetAssocConfig) -> Self {
+            Reference {
+                config,
+                sets: vec![Vec::new(); config.sets],
+                overflow: FxHashMap::default(),
+                stats: TableStats::default(),
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.stats.resident + self.stats.overflowed
+        }
+
+        fn get(&self, addr: u64) -> Option<(u32, Placement)> {
+            let set = &self.sets[self.config.set_of(addr)];
+            match set.iter().find(|e| e.0 == addr) {
+                Some(e) => Some((e.1, Placement::Way)),
+                None => self.overflow.get(&addr).map(|&v| (v, Placement::Overflow)),
+            }
+        }
+
+        fn get_mut(&mut self, addr: u64) -> Option<(&mut u32, Placement)> {
+            let set = &mut self.sets[self.config.set_of(addr)];
+            if let Some(e) = set.iter_mut().find(|e| e.0 == addr) {
+                return Some((&mut e.1, Placement::Way));
+            }
+            let v = self.overflow.get_mut(&addr)?;
+            self.stats.overflow_hits += 1;
+            Some((v, Placement::Overflow))
+        }
+
+        fn get_or_insert(&mut self, addr: u64, init: u32) -> (u32, Placement, bool) {
+            if let Some((v, p)) = self.get_mut(addr) {
+                return (*v, p, false);
+            }
+            self.stats.insertions += 1;
+            self.stats.peak_live = self.stats.peak_live.max(self.len() + 1);
+            let ways = self.config.ways;
+            let set = &mut self.sets[self.config.set_of(addr)];
+            if set.len() < ways {
+                self.stats.resident += 1;
+                set.push((addr, init));
+                (init, Placement::Way, true)
+            } else {
+                self.stats.overflow_insertions += 1;
+                self.stats.overflowed += 1;
+                self.overflow.insert(addr, init);
+                (init, Placement::Overflow, true)
+            }
+        }
+
+        fn remove(&mut self, addr: u64) -> Option<u32> {
+            let set = &mut self.sets[self.config.set_of(addr)];
+            if let Some(pos) = set.iter().position(|e| e.0 == addr) {
+                self.stats.resident -= 1;
+                return Some(set.swap_remove(pos).1);
+            }
+            let v = self.overflow.remove(&addr)?;
+            self.stats.overflowed -= 1;
+            Some(v)
+        }
+
+        fn entries(&self) -> Vec<(u64, u32)> {
+            self.sets
+                .iter()
+                .flatten()
+                .copied()
+                .chain(self.overflow.iter().map(|(&a, &v)| (a, v)))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn flat_table_matches_the_vec_of_vec_reference() {
+        let config = SetAssocConfig {
+            sets: 2,
+            ways: 3,
+            line_offset_bits: 6,
+        };
+        let mut rng = nexus_sim::SimRng::new(0x5e7a);
+        let mut table = SetAssocTable::new(config);
+        let mut reference = Reference::new(config);
+        let mut overflowed = 0;
+        for step in 0..20_000u32 {
+            // 16 lines, two addresses per line: up to 32 live entries on 6
+            // ways, so sets fill and spill into the overflow area often.
+            let addr = rng.next_below(16) * 64 + rng.next_below(2) * 8;
+            match rng.next_below(3) {
+                0 => {
+                    let (v, p, fresh) = table.get_or_insert_with(addr, || step);
+                    assert_eq!((*v, p, fresh), reference.get_or_insert(addr, step));
+                    overflowed += usize::from(p == Placement::Overflow);
+                }
+                1 => {
+                    let got = table.get_mut(addr).map(|(v, p)| {
+                        *v += 1;
+                        (*v, p)
+                    });
+                    let want = reference.get_mut(addr).map(|(v, p)| {
+                        *v += 1;
+                        (*v, p)
+                    });
+                    assert_eq!(got, want, "get_mut({addr:#x}) at step {step}");
+                }
+                _ => assert_eq!(table.remove(addr), reference.remove(addr)),
+            }
+            assert_eq!(table.stats(), reference.stats, "step {step}");
+            assert_eq!(
+                table.iter().map(|(a, &v)| (a, v)).collect::<Vec<_>>(),
+                reference.entries(),
+                "iteration order at step {step}"
+            );
+            let probe = rng.next_below(16) * 64;
+            assert_eq!(table.get(probe).map(|(&v, p)| (v, p)), reference.get(probe));
+        }
+        assert!(overflowed > 100, "overflow exercised {overflowed} times");
     }
 
     #[test]

@@ -25,6 +25,12 @@
 //! The managers' event hot path allocates nothing once the structures have
 //! reached their peak occupancy, and each fact is stored once:
 //!
+//! * a [`SetAssocTable`] keeps its `sets × ways` entries in one contiguous
+//!   array, set after set, as the ways of a hardware set sit side by side,
+//!   with a fill count per set: the first `fill` slots of a set are live, a
+//!   lookup compares that short run of address tags, and a removal moves the
+//!   set's last live way into the freed slot. Only overflow (dummy) entries
+//!   live in a separate hash map;
 //! * an address entry of the [`DependencyTracker`] holds its outstanding
 //!   accesses as a vector in insertion order. Each access records its task,
 //!   whether it writes, its `dependents` (the tasks that wait for it to
@@ -32,11 +38,14 @@
 //!   is non-zero while the task sits in the address's kick-off list. The most
 //!   recent writer is the last writing access, and a retirement finds its
 //!   dependents in one left-to-right pass from its own position;
+//! * the `dependents` lists of a tracker are chains through one arena of
+//!   cells, and a retired access returns its whole chain to the arena's free
+//!   chain, so a list costs no allocation of its own;
 //! * the [`TaskPool`] holds the one copy of each in-flight task's
 //!   input/output list, which the finished-task cleanup reads back;
-//! * emptied access lists, `dependents` lists and parameter lists are kept
-//!   for reuse, and [`DependencyTracker::retire_param_into`] appends released
-//!   tasks to a buffer the caller reuses.
+//! * emptied access lists and parameter lists are kept for reuse, and
+//!   [`DependencyTracker::retire_param_into`] appends released tasks to a
+//!   buffer the caller reuses.
 
 #![warn(missing_docs)]
 

@@ -36,7 +36,72 @@ struct Access {
     blockers: u32,
     /// Tasks whose parameter on this address waits for this access to retire,
     /// in insertion order.
-    dependents: Vec<TaskId>,
+    dependents: DependentList,
+}
+
+/// End of a [`DependentList`] chain.
+const NIL: u32 = u32::MAX;
+
+/// A list of dependents, chained through the tracker's [`Links`] arena.
+#[derive(Debug, Clone, Copy)]
+struct DependentList {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+impl DependentList {
+    const EMPTY: DependentList = DependentList {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+    };
+}
+
+/// One arena cell: a dependent and the next cell of its list.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    task: TaskId,
+    next: u32,
+}
+
+/// The arena every dependent list of a tracker is chained through, with a
+/// free chain of retired cells, so a list costs no allocation of its own.
+#[derive(Debug, Clone)]
+struct Links {
+    cells: Vec<Link>,
+    free: u32,
+}
+
+impl Links {
+    /// Appends `task` to `list`.
+    fn push(&mut self, list: &mut DependentList, task: TaskId) {
+        let cell = Link { task, next: NIL };
+        let at = if self.free == NIL {
+            self.cells.push(cell);
+            u32::try_from(self.cells.len() - 1).expect("more than u32::MAX dependents")
+        } else {
+            let at = self.free;
+            self.free = self.cells[at as usize].next;
+            self.cells[at as usize] = cell;
+            at
+        };
+        if list.tail == NIL {
+            list.head = at;
+        } else {
+            self.cells[list.tail as usize].next = at;
+        }
+        list.tail = at;
+        list.len += 1;
+    }
+
+    /// Returns every cell of `list` to the free chain.
+    fn release(&mut self, list: DependentList) {
+        if list.tail != NIL {
+            self.cells[list.tail as usize].next = self.free;
+            self.free = list.head;
+        }
+    }
 }
 
 /// Per-address tracking state.
@@ -114,8 +179,8 @@ pub struct DependencyTracker {
     table: SetAssocTable<AddrState>,
     /// Emptied access lists of freed entries, reused by later entries.
     spare_entries: Vec<Vec<Access>>,
-    /// Emptied `dependents` lists of retired accesses, reused by later ones.
-    spare_dependents: Vec<Vec<TaskId>>,
+    /// The cells of every access's `dependents` list.
+    links: Links,
     stats: TrackerStats,
 }
 
@@ -125,7 +190,10 @@ impl DependencyTracker {
         DependencyTracker {
             table: SetAssocTable::new(config),
             spare_entries: Vec::new(),
-            spare_dependents: Vec::new(),
+            links: Links {
+                cells: Vec::new(),
+                free: NIL,
+            },
             stats: TrackerStats::default(),
         }
     }
@@ -168,15 +236,16 @@ impl DependencyTracker {
 
         // Register this parameter with every outstanding access that blocks it.
         let writes = dir.writes();
+        let links = &mut self.links;
         let blockers = if writes {
             // WAW + WAR: wait for every outstanding access.
             for access in &mut state.outstanding {
-                access.dependents.push(task);
+                links.push(&mut access.dependents, task);
             }
             state.outstanding.len()
         } else if let Some(writer) = state.outstanding.iter_mut().rev().find(|a| a.writes) {
             // RAW: wait for the most recent outstanding writer only.
-            writer.dependents.push(task);
+            links.push(&mut writer.dependents, task);
             1
         } else {
             0
@@ -195,7 +264,7 @@ impl DependencyTracker {
             task,
             writes,
             blockers: blockers as u32,
-            dependents: self.spare_dependents.pop().unwrap_or_default(),
+            dependents: DependentList::EMPTY,
         });
 
         self.stats.max_kickoff_len = self.stats.max_kickoff_len.max(state.kickoff_len);
@@ -236,7 +305,7 @@ impl DependencyTracker {
             debug_assert!(false, "retire_param: {task} has no access on {addr:#x}");
             return Retirement::default();
         };
-        let mut access = state.outstanding.remove(pos);
+        let access = state.outstanding.remove(pos);
         if access.blockers > 0 {
             debug_assert!(state.kickoff_len > 0, "{task} waits on {addr:#x} uncounted");
             state.kickoff_len -= 1;
@@ -245,7 +314,10 @@ impl DependencyTracker {
         // Dependents were inserted after this access, in list order, so one
         // left-to-right pass from its old position finds them all.
         let mut cursor = pos;
-        for &dep in &access.dependents {
+        let mut link = access.dependents.head;
+        while link != NIL {
+            let Link { task: dep, next } = self.links.cells[link as usize];
+            link = next;
             let Some(offset) = state.outstanding[cursor..]
                 .iter()
                 .position(|a| a.task == dep)
@@ -262,9 +334,8 @@ impl DependencyTracker {
             }
             cursor += 1;
         }
-        let waiters_scanned = access.dependents.len();
-        access.dependents.clear();
-        self.spare_dependents.push(access.dependents);
+        let waiters_scanned = access.dependents.len as usize;
+        self.links.release(access.dependents);
 
         let entry_freed = state.outstanding.is_empty();
         if entry_freed {
