@@ -61,6 +61,10 @@
 //! a stolen task that shares addresses with unrelated tasks at the thief may
 //! pick up a conservative manager-level ordering there — never a lost
 //! dependence.)
+//!
+//! The event queue moves every event by value, so events stay at most 24
+//! bytes: they carry `u32` indices, and a multi-hop message and a load
+//! digest ride as `u32` handles into per-run tables (see `Event`).
 
 use crate::config::ClusterConfig;
 use crate::interconnect::Interconnect;
@@ -126,65 +130,74 @@ impl MigrationKind {
     }
 }
 
+/// One scheduled simulator event. Every field is a `u32` node, worker or
+/// submission index, a [`TaskId`], or a `u32` handle into one of the run's
+/// side tables, so an event is at most 24 bytes (a [`TimedEvent`] at most
+/// 40) and the queue moves small values:
+///
+/// * a multi-hop message rides as an [`Event::Relay`] carrying a handle into
+///   the run's relay table ([`InFlight`]: route, size and terminal
+///   [`Deliver`]) plus the hop it enters, instead of a copy of the whole
+///   message on every hop;
+/// * a retirement notification's load digest rides as a handle into the
+///   run's digest table, or [`NO_DIGEST`] while feedback is off.
+///
+/// Both tables recycle their slots through a free list; every slot is back
+/// on it when the event loop ends.
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// The master executes its next trace operation.
     MasterStep,
     /// A task descriptor reaches its home node's input queue.
-    DescriptorArrive { node: usize, idx: usize },
+    DescriptorArrive { node: u32, idx: u32 },
     /// A remote-dependency notification reaches the consumer's node.
-    NotifyArrive { idx: usize },
+    NotifyArrive { idx: u32 },
     /// A node's input processor retries handing pending tasks to its manager.
-    Pump { node: usize },
+    Pump { node: u32 },
     /// A node-local ready notification becomes visible.
-    Ready { node: usize, task: TaskId },
+    Ready { node: u32, task: TaskId },
     /// Worker core `worker` on `node` finished executing `task`.
     WorkerFinish {
-        node: usize,
+        node: u32,
+        worker: u32,
         task: TaskId,
-        worker: usize,
     },
     /// Worker core `worker` on `node` becomes available again.
-    WorkerFree { node: usize, worker: usize },
+    WorkerFree { node: u32, worker: u32 },
     /// A node's manager retired a task.
-    Retired { node: usize, task: TaskId },
+    Retired { node: u32, task: TaskId },
     /// A retirement notification reaches the master.
     MasterSawRetire {
         task: TaskId,
-        /// The retiring node's load digest riding on the notification
-        /// (attached only while runtime feedback is enabled).
-        load: Option<(usize, LoadView)>,
+        /// Digest-table handle of the retiring node's load digest riding on
+        /// the notification, or [`NO_DIGEST`] while feedback is off.
+        digest: u32,
     },
     /// An idle node's migration request reaches its victim.
     MigrateRequest {
         kind: MigrationKind,
-        thief: usize,
-        victim: usize,
+        thief: u32,
+        victim: u32,
     },
     /// A migrated descriptor reaches the thief.
     MigratedArrive {
         kind: MigrationKind,
-        node: usize,
-        idx: usize,
+        node: u32,
+        idx: u32,
     },
     /// The victim's empty-handed reply reaches the thief.
-    MigrateFailed { kind: MigrationKind, thief: usize },
-    /// A multi-hop message finished hop `hop - 1` of the `from → to` route
-    /// and enters hop `hop` now (its physical arrival time at that link —
-    /// links are acquired causally, in arrival order).
-    Relay {
-        /// Source node of the message.
-        from: usize,
-        /// Destination node of the message.
-        to: usize,
-        /// Index of the hop the message enters now.
-        hop: usize,
-        /// Message size in 32-bit words (paid on every hop).
-        words: u64,
-        /// What happens when the message leaves the last hop.
-        then: Deliver,
-    },
+    MigrateFailed { kind: MigrationKind, thief: u32 },
+    /// The relay-table message `msg` finished hop `hop - 1` of its route and
+    /// enters hop `hop` now (its physical arrival time at that link — links
+    /// are acquired causally, in arrival order).
+    Relay { msg: u32, hop: u32 },
 }
+
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
+const _: () = assert!(std::mem::size_of::<TimedEvent<Event>>() <= 40);
+
+/// Digest handle of a retirement notification that carries no load digest.
+const NO_DIGEST: u32 = u32::MAX;
 
 impl Event {
     /// Event-kind names for the profiling registry, indexed by
@@ -260,33 +273,31 @@ impl EngineProf {
     }
 }
 
-/// Terminal action of a message once it leaves the fabric — the payload a
-/// multi-hop [`Event::Relay`] carries to its final hop.
+/// Terminal action of a message once it leaves the fabric — what a
+/// multi-hop message's [`InFlight`] record delivers after its last hop. Same
+/// `u32` fields as the [`Event`] it becomes.
 #[derive(Debug, Clone, Copy)]
 enum Deliver {
     /// Becomes [`Event::DescriptorArrive`].
-    Descriptor { node: usize, idx: usize },
+    Descriptor { node: u32, idx: u32 },
     /// Becomes [`Event::NotifyArrive`].
-    Notify { idx: usize },
+    Notify { idx: u32 },
     /// Becomes [`Event::MasterSawRetire`].
-    MasterRetire {
-        task: TaskId,
-        load: Option<(usize, LoadView)>,
-    },
+    MasterRetire { task: TaskId, digest: u32 },
     /// Becomes [`Event::MigrateRequest`].
     MigrateRequest {
         kind: MigrationKind,
-        thief: usize,
-        victim: usize,
+        thief: u32,
+        victim: u32,
     },
     /// Becomes [`Event::MigratedArrive`].
     Migrated {
         kind: MigrationKind,
-        node: usize,
-        idx: usize,
+        node: u32,
+        idx: u32,
     },
     /// Becomes [`Event::MigrateFailed`].
-    MigrateFailed { kind: MigrationKind, thief: usize },
+    MigrateFailed { kind: MigrationKind, thief: u32 },
 }
 
 impl Deliver {
@@ -294,7 +305,7 @@ impl Deliver {
         match self {
             Deliver::Descriptor { node, idx } => Event::DescriptorArrive { node, idx },
             Deliver::Notify { idx } => Event::NotifyArrive { idx },
-            Deliver::MasterRetire { task, load } => Event::MasterSawRetire { task, load },
+            Deliver::MasterRetire { task, digest } => Event::MasterSawRetire { task, digest },
             Deliver::MigrateRequest {
                 kind,
                 thief,
@@ -307,6 +318,67 @@ impl Deliver {
             Deliver::Migrated { kind, node, idx } => Event::MigratedArrive { kind, node, idx },
             Deliver::MigrateFailed { kind, thief } => Event::MigrateFailed { kind, thief },
         }
+    }
+}
+
+/// A multi-hop message crossing the fabric: one relay-table record, shared
+/// by every [`Event::Relay`] hop of the message.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    /// Source node of the message.
+    from: u32,
+    /// Destination node of the message.
+    to: u32,
+    /// Message size in 32-bit words (paid on every hop).
+    words: u64,
+    /// What happens when the message leaves the last hop.
+    then: Deliver,
+}
+
+/// A per-run table of records addressed by `u32` handles, whose slots are
+/// recycled through a free list: after warm-up, taking a slot and giving it
+/// back allocate nothing.
+struct Slab<T> {
+    slots: Vec<T>,
+    free: Vec<u32>,
+}
+
+impl<T: Copy> Slab<T> {
+    fn new() -> Self {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Stores `value` in a free slot and returns its handle.
+    fn insert(&mut self, value: T) -> u32 {
+        match self.free.pop() {
+            Some(h) => {
+                self.slots[h as usize] = value;
+                h
+            }
+            None => {
+                self.slots.push(value);
+                u32::try_from(self.slots.len() - 1).expect("more than u32::MAX slots in flight")
+            }
+        }
+    }
+
+    fn get(&self, handle: u32) -> T {
+        self.slots[handle as usize]
+    }
+
+    /// Returns the value at `handle` and frees its slot.
+    fn remove(&mut self, handle: u32) -> T {
+        debug_assert!(!self.free.contains(&handle), "slot {handle} freed twice");
+        self.free.push(handle);
+        self.slots[handle as usize]
+    }
+
+    /// True when every slot ever taken has been given back.
+    fn all_returned(&self) -> bool {
+        self.free.len() == self.slots.len()
     }
 }
 
@@ -907,6 +979,11 @@ struct Run<'a, M> {
     producer_homes: Vec<usize>,
     /// Reused buffer for the migration scan's load board.
     load_board: Vec<NodeLoad>,
+    /// The relay table: multi-hop messages crossing the fabric.
+    relays: Slab<InFlight>,
+    /// The digest table: load digests riding on retirement notifications
+    /// to the master, with the retiring node.
+    digests: Slab<(u32, LoadView)>,
     queue: EventQueue<Event>,
     metas: Vec<TaskMeta>,
     deps: DepTables,
@@ -930,6 +1007,13 @@ impl<'a, M: TaskManager> Run<'a, M> {
     ) -> Self {
         let ClusterDriver { cfg, nodes, net } = driver;
         let tasks: Vec<&TaskDescriptor> = trace.tasks().collect();
+        // Events carry node, worker and submission indices as `u32`.
+        assert!(
+            [tasks.len(), cfg.nodes, cfg.workers_per_node]
+                .iter()
+                .all(|&n| u32::try_from(n).is_ok()),
+            "trace or cluster too large for u32 event indices"
+        );
         let idx_of = IdMap::build(&tasks);
         let durations = tasks.iter().map(|t| t.duration).collect();
         let distances = net.distances().clone();
@@ -940,6 +1024,8 @@ impl<'a, M: TaskManager> Run<'a, M> {
             scratch: Vec::new(),
             producer_homes: Vec::new(),
             load_board: Vec::new(),
+            relays: Slab::new(),
+            digests: Slab::new(),
             master: MasterSm::new(),
             supports_taskwait_on: nodes[0].manager.supports_taskwait_on(),
             policy: cfg.stealing.build(),
@@ -1037,6 +1123,10 @@ impl<'a, M: TaskManager> Run<'a, M> {
                 }
             }
         }
+        debug_assert!(
+            self.relays.all_returned() && self.digests.all_returned(),
+            "relay or digest table slots outlived the run"
+        );
     }
 
     /// Handles one event. A relay returns its continuation unscheduled (see
@@ -1045,6 +1135,7 @@ impl<'a, M: TaskManager> Run<'a, M> {
         match ev {
             Event::MasterStep => self.master_step(now),
             Event::DescriptorArrive { node, idx } => {
+                let (node, idx) = (node as usize, idx as usize);
                 let n = &mut self.nodes[node];
                 n.touch(now);
                 n.outstanding += 1;
@@ -1053,6 +1144,7 @@ impl<'a, M: TaskManager> Run<'a, M> {
                 self.pump(node, now);
             }
             Event::NotifyArrive { idx } => {
+                let idx = idx as usize;
                 let meta = &mut self.metas[idx];
                 meta.remaining_remote -= 1;
                 let home = meta.home;
@@ -1075,36 +1167,40 @@ impl<'a, M: TaskManager> Run<'a, M> {
                 self.pump(home, now);
             }
             Event::Pump { node } => {
+                let node = node as usize;
                 let n = &mut self.nodes[node];
                 n.pump_queued = false;
                 n.touch(now);
                 self.pump(node, now);
             }
             Event::Ready { node, task } => {
-                let n = &mut self.nodes[node];
+                let n = &mut self.nodes[node as usize];
                 n.touch(now);
                 n.pool.enqueue(task);
-                self.dispatch(node, now);
+                self.dispatch(node as usize, now);
             }
-            Event::WorkerFinish { node, task, worker } => {
-                let n = &mut self.nodes[node];
+            Event::WorkerFinish { node, worker, task } => {
+                let n = &mut self.nodes[node as usize];
                 n.touch(now);
                 n.executed += 1;
                 let free_at = n.manager.finish(task, now);
-                self.drain(node, now);
+                self.drain(node as usize, now);
                 self.queue
                     .schedule(free_at.max(now), Event::WorkerFree { node, worker });
             }
             Event::WorkerFree { node, worker } => {
-                let n = &mut self.nodes[node];
+                let n = &mut self.nodes[node as usize];
                 n.touch(now);
-                n.pool.release(worker);
-                self.dispatch(node, now);
+                n.pool.release(worker as usize);
+                self.dispatch(node as usize, now);
             }
-            Event::Retired { node, task } => self.retired(node, task, now),
-            Event::MasterSawRetire { task, load } => {
-                if let (Some((node, view)), Some(tr)) = (load, self.tracker.as_mut()) {
-                    tr.observe(node, view);
+            Event::Retired { node, task } => self.retired(node as usize, task, now),
+            Event::MasterSawRetire { task, digest } => {
+                if digest != NO_DIGEST {
+                    let (node, view) = self.digests.remove(digest);
+                    if let Some(tr) = self.tracker.as_mut() {
+                        tr.observe(node as usize, view);
+                    }
                 }
                 if self.master.on_retired(task, now) {
                     self.queue.schedule(now, Event::MasterStep);
@@ -1114,36 +1210,37 @@ impl<'a, M: TaskManager> Run<'a, M> {
                 kind,
                 thief,
                 victim,
-            } => self.grant(kind, thief, victim, now),
-            Event::MigratedArrive { kind, node, idx } => self.migrated_arrive(kind, node, idx, now),
+            } => self.grant(kind, thief as usize, victim as usize, now),
+            Event::MigratedArrive { kind, node, idx } => {
+                self.migrated_arrive(kind, node as usize, idx as usize, now)
+            }
             Event::MigrateFailed { kind, thief } => {
-                let n = &mut self.nodes[thief];
+                let n = &mut self.nodes[thief as usize];
                 let state = &mut n.migration[kind.index()];
                 state.inflight = false;
                 state.last_fail = Some(now);
                 n.touch(now);
             }
-            Event::Relay {
-                from,
-                to,
-                hop,
-                words,
-                then,
-            } => {
+            Event::Relay { msg, hop } => {
+                let InFlight {
+                    from,
+                    to,
+                    words,
+                    then,
+                } = self.relays.get(msg);
+                let (from, to, hop) = (from as usize, to as usize, hop as usize);
                 if self.rec.is_some() {
                     let (link, tier) = self.net.hop_link(from, to, hop);
                     self.record(now, SpanEvent::LinkHop { link, tier, words });
                 }
                 let d = self.net.send_hop(from, to, hop, words, now);
                 let payload = if hop + 1 == self.net.hops(from, to) {
+                    self.relays.remove(msg);
                     then.into_event()
                 } else {
                     Event::Relay {
-                        from,
-                        to,
-                        hop: hop + 1,
-                        words,
-                        then,
+                        msg,
+                        hop: hop as u32 + 1,
                     }
                 };
                 // Reserve the seq a plain `schedule` would assign, but defer
@@ -1239,8 +1336,11 @@ impl<'a, M: TaskManager> Run<'a, M> {
         );
         // Forward the descriptor to its home node.
         let words = task.transfer_words();
-        let sender_free =
-            self.send_msg(0, home, words, now, Deliver::Descriptor { node: home, idx });
+        let then = Deliver::Descriptor {
+            node: home as u32,
+            idx: idx as u32,
+        };
+        let sender_free = self.send_msg(0, home, words, now, then);
         // Subscribe to (or directly forward) the remote dependency
         // notifications the task needs.
         for k in self.deps.remote_range(idx) {
@@ -1248,7 +1348,8 @@ impl<'a, M: TaskManager> Run<'a, M> {
             match self.metas[p].retired_at {
                 Some(_) => {
                     let ph = self.metas[p].home;
-                    self.send_msg(ph, home, NOTIFY_WORDS, now, Deliver::Notify { idx });
+                    let then = Deliver::Notify { idx: idx as u32 };
+                    self.send_msg(ph, home, NOTIFY_WORDS, now, then);
                     self.notifications += 1;
                 }
                 None => self.metas[p].subscribers.push(idx),
@@ -1274,24 +1375,23 @@ impl<'a, M: TaskManager> Run<'a, M> {
         // Forward the retirement to every subscribed consumer…
         for sub in std::mem::take(&mut self.metas[idx].subscribers) {
             let home = self.metas[sub].home;
-            self.send_msg(node, home, NOTIFY_WORDS, now, Deliver::Notify { idx: sub });
+            let then = Deliver::Notify { idx: sub as u32 };
+            self.send_msg(node, home, NOTIFY_WORDS, now, then);
             self.notifications += 1;
         }
         // …and to the master (free if the task retired on node 0). With
         // feedback enabled the notification carries the retiring node's load
         // digest — same message, same words, no extra traffic on the happy
         // path.
-        let load = self
-            .tracker
-            .as_ref()
-            .map(|_| (node, self.nodes[node].digest(now)));
-        self.send_msg(
-            node,
-            0,
-            NOTIFY_WORDS,
-            now,
-            Deliver::MasterRetire { task, load },
-        );
+        let digest = match self.tracker {
+            Some(_) => {
+                let view = self.nodes[node].digest(now);
+                self.digests.insert((node as u32, view))
+            }
+            None => NO_DIGEST,
+        };
+        let then = Deliver::MasterRetire { task, digest };
+        self.send_msg(node, 0, NOTIFY_WORDS, now, then);
         // A task-pool slot may have been freed.
         self.pump(node, now);
     }
@@ -1323,13 +1423,13 @@ impl<'a, M: TaskManager> Run<'a, M> {
         let ev = if self.net.hops(from, to) == 1 {
             then.into_event()
         } else {
-            Event::Relay {
-                from,
-                to,
-                hop: 1,
+            let msg = self.relays.insert(InFlight {
+                from: from as u32,
+                to: to as u32,
                 words,
                 then,
-            }
+            });
+            Event::Relay { msg, hop: 1 }
         };
         self.queue.schedule(d.delivered, ev);
         d.sender_free
@@ -1389,8 +1489,8 @@ impl<'a, M: TaskManager> Run<'a, M> {
             self.nodes[thief].migration[kind.index()].inflight = true;
             let request = Deliver::MigrateRequest {
                 kind,
-                thief,
-                victim,
+                thief: thief as u32,
+                victim: victim as u32,
             };
             self.send_msg(thief, victim, kind.words(), now, request);
         }
@@ -1434,7 +1534,10 @@ impl<'a, M: TaskManager> Run<'a, M> {
         let counts = &mut self.migrations[kind.index()];
         if positions.is_empty() {
             counts.failures += 1;
-            let reply = Deliver::MigrateFailed { kind, thief };
+            let reply = Deliver::MigrateFailed {
+                kind,
+                thief: thief as u32,
+            };
             self.send_msg(victim, thief, kind.words(), now, reply);
             return;
         }
@@ -1488,8 +1591,8 @@ impl<'a, M: TaskManager> Run<'a, M> {
             let words = self.tasks[idx].transfer_words();
             let migrated = Deliver::Migrated {
                 kind,
-                node: thief,
-                idx,
+                node: thief as u32,
+                idx: idx as u32,
             };
             self.send_msg(victim, thief, words, now, migrated);
         }
@@ -1550,6 +1653,7 @@ impl<'a, M: TaskManager> Run<'a, M> {
                 // storm of no-op Pump events.
                 if !n.pump_queued {
                     n.pump_queued = true;
+                    let node = node as u32;
                     self.queue.schedule(n.input_free, Event::Pump { node });
                 }
                 break;
@@ -1600,9 +1704,10 @@ impl<'a, M: TaskManager> Run<'a, M> {
             // A core of speed `speed/1000`× executes the task proportionally
             // faster (exact for the uniform default: `d * 1000 / 1000 == d`).
             let dur = durations[idx] * 1000 / speed;
+            let (node, worker) = (node as u32, worker as u32);
             queue.schedule(
                 now + extra + dur,
-                Event::WorkerFinish { node, task, worker },
+                Event::WorkerFinish { node, worker, task },
             );
         });
         schedule_events(scratch, node, now, queue);
@@ -1809,6 +1914,7 @@ fn schedule_events(
     now: SimTime,
     queue: &mut EventQueue<Event>,
 ) {
+    let node = node as u32;
     for ev in scratch.drain(..) {
         match ev {
             ManagerEvent::Ready { task, at } => {
@@ -2453,6 +2559,34 @@ mod tests {
                 format!("{traced:?}"),
                 "recorder perturbed feedback {feedback}"
             );
+        }
+    }
+
+    #[test]
+    fn relay_and_digest_slots_are_all_returned_when_a_run_ends() {
+        // Every relay-table and digest-table slot a run takes is back on its
+        // free list once the queue runs dry, across the determinism grid's
+        // placements and stealing policies with full feedback (digests on
+        // every retirement) on a rack fabric (multi-hop relays).
+        let trace = distributed::unhinted(&distributed::sparselu(4, 0.4, 7, 0.002));
+        for placement in PolicyKind::ALL {
+            for stealing in StealKind::ALL {
+                let cfg = ClusterConfig::new(4, 4)
+                    .with_link(LinkConfig::rdma().with_topology(crate::config::Topology::RackTiers))
+                    .with_placement(placement)
+                    .with_stealing(stealing)
+                    .with_feedback(FeedbackKind::Full);
+                let driver = ClusterDriver::new(&cfg, |_| tight_sharp());
+                let mut run = Run::new(driver, &trace, None, None, None);
+                run.event_loop();
+                let case = format!("{placement}/{stealing}");
+                assert!(!run.relays.slots.is_empty(), "{case}: no multi-hop message");
+                assert!(!run.digests.slots.is_empty(), "{case}: no digest");
+                assert!(run.relays.all_returned(), "{case}: relay slot leaked");
+                assert!(run.digests.all_returned(), "{case}: digest slot leaked");
+                let (out, _) = run.finish();
+                assert_eq!(out.tasks, trace.task_count() as u64, "{case}");
+            }
         }
     }
 

@@ -64,6 +64,10 @@ enum Event {
     RetiredVisible(TaskId),
 }
 
+// The event queue moves events by value; keep them as small as the cluster
+// driver's.
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
+
 /// Runs `trace` on a simulated machine with `cfg.workers` worker cores managed
 /// by `manager`. Panics if the simulation deadlocks (which would indicate a
 /// model bug — the property tests guard against it).

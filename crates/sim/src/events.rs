@@ -17,8 +17,15 @@
 //!   events beyond the horizon. Scheduling is `O(1)` (a shift and a push into
 //!   a reused bucket arena — no per-event allocation in steady state), popping
 //!   scans the current bucket for the minimum `(time, seq)` key, and the
-//!   geometry (bucket count and width) adapts to the live event population
-//!   whenever the wheel is re-anchored or rebuilt.
+//!   geometry adapts whenever the wheel is re-anchored or rebuilt:
+//!   - the bucket count follows the live population;
+//!   - the bucket width follows the *near-term* spacing: about three times
+//!     the mean gap between the distinct timestamps of the earliest 32
+//!     pending events (Brown's rule), not the span of the whole population;
+//!   - the width is re-planned once when the cursor bucket about to be sorted
+//!     holds more than 16 distinct timestamps; a sorted cursor bucket that
+//!     doubles in length through inserts is checked again. The cursor bucket
+//!     binary-inserts to stay sorted, so its length is what an insert costs.
 //!
 //! Both engines expose the same API and, by construction, the exact same pop
 //! order — the cluster equivalence suite asserts bit-identical outcomes across
@@ -113,6 +120,10 @@ impl FromStr for EngineKind {
 const MIN_BUCKETS: usize = 16;
 /// Maximum number of buckets (bounds rebuild cost and memory).
 const MAX_BUCKETS: usize = 1 << 16;
+/// Earliest pending events whose spacing sets the bucket width.
+const WIDTH_SAMPLE: usize = 32;
+/// Distinct timestamps a cursor bucket may hold before it is re-planned.
+const REPLAN_DISTINCT: usize = 16;
 
 /// The indexed calendar-queue engine: a power-of-two ring of unsorted buckets
 /// over the window `[win_start, win_start + nbuckets << shift)`, plus an
@@ -128,6 +139,13 @@ const MAX_BUCKETS: usize = 1 << 16;
 ///   back, and pushes into the cursor bucket binary-insert to keep the order.
 ///   Same-time event cascades pile dozens of events into the cursor bucket,
 ///   so an unsorted cursor bucket degrades pops to O(bucket²) rescans.
+///
+/// The bucket width follows the spacing of the *earliest* pending events
+/// (Brown's rule: about three times their mean gap), not the span of the
+/// whole population: simulator pushes cluster a few ns–µs ahead of `now`
+/// with a second group (task completions) a millisecond out, and a width
+/// sized for the mean over both puts the whole near term in the cursor
+/// bucket, where every insert shifts the bucket's tail.
 #[derive(Debug, Clone)]
 struct CalendarQueue<E> {
     buckets: Vec<Vec<TimedEvent<E>>>,
@@ -139,10 +157,30 @@ struct CalendarQueue<E> {
     cur: usize,
     /// Whether `buckets[cur]` is currently sorted by descending `(time, seq)`.
     cur_sorted: bool,
+    /// Length at which the sorted cursor bucket is handed back to
+    /// [`CalendarQueue::settle_min`] for another re-plan check.
+    recheck_at: usize,
     /// Events at or beyond the window horizon, unsorted.
     overflow: Vec<TimedEvent<E>>,
     /// Events currently stored in `buckets`.
     wheel_len: usize,
+    /// Reused buffer a rebuild drains every event into.
+    drained: Vec<TimedEvent<E>>,
+    /// Reused buffer of pending timestamps for planning the bucket width.
+    times: Vec<u64>,
+    /// Cursor-bucket occupancy at sorted inserts (tests only).
+    #[cfg(test)]
+    shape: QueueShape,
+}
+
+/// How full the cursor bucket runs: what each sorted insert pays for.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default)]
+struct QueueShape {
+    /// Inserts into the sorted cursor bucket.
+    sorted_inserts: u64,
+    /// Sum over those inserts of the bucket's length before the insert.
+    sorted_insert_len: u64,
 }
 
 impl<E> CalendarQueue<E> {
@@ -153,8 +191,13 @@ impl<E> CalendarQueue<E> {
             win_start: 0,
             cur: 0,
             cur_sorted: false,
+            recheck_at: 0,
             overflow: Vec::new(),
             wheel_len: 0,
+            drained: Vec::new(),
+            times: Vec::new(),
+            #[cfg(test)]
+            shape: QueueShape::default(),
         }
     }
 
@@ -167,12 +210,34 @@ impl<E> CalendarQueue<E> {
     /// shift below the u64 overflow edge.
     const MAX_SHIFT: u32 = 47;
 
-    /// ceil(log2(width)) clamped to a safe shift, for an average inter-event
-    /// spacing of `span / count` picoseconds.
-    fn shift_for(span: u64, count: usize) -> u32 {
-        let width = (span / count.max(1) as u64).max(1);
+    /// ceil(log2(width)) clamped to a safe shift.
+    fn shift_for_width(width: u64) -> u32 {
+        let width = width.max(1);
         let ceil_log2 = 63 - width.leading_zeros() + u32::from(!width.is_power_of_two());
         ceil_log2.min(Self::MAX_SHIFT)
+    }
+
+    /// The bucket-width exponent for the pending timestamps in `times`
+    /// (reordered in place): three times the mean gap between the distinct
+    /// times among the earliest [`WIDTH_SAMPLE`] events. When those all share
+    /// one timestamp the whole population's mean spacing stands in. Callers
+    /// pass at least one timestamp.
+    fn plan_shift(times: &mut [u64]) -> u32 {
+        let k = times.len().min(WIDTH_SAMPLE);
+        if k < times.len() {
+            times.select_nth_unstable(k - 1);
+        }
+        let head = &mut times[..k];
+        head.sort_unstable();
+        let gaps = head.windows(2).filter(|w| w[0] != w[1]).count() as u64;
+        let width = (head[k - 1] - head[0])
+            .saturating_mul(3)
+            .checked_div(gaps)
+            .unwrap_or_else(|| {
+                let max = times.iter().copied().max().unwrap_or(0);
+                (max - times[0]) / times.len() as u64
+            });
+        Self::shift_for_width(width)
     }
 
     #[inline]
@@ -211,11 +276,20 @@ impl<E> CalendarQueue<E> {
                 ((t - self.win_start) >> self.shift) as usize
             };
             if b == self.cur && self.cur_sorted {
+                #[cfg(test)]
+                {
+                    self.shape.sorted_inserts += 1;
+                    self.shape.sorted_insert_len += self.buckets[b].len() as u64;
+                }
                 // Keep the cursor bucket sorted (descending): find the first
                 // slot whose key is below the new one.
                 let k = (t, ev.seq);
                 let pos = self.buckets[b].partition_point(|e| Self::key(e) > k);
                 self.buckets[b].insert(pos, ev);
+                // A burst can pile into a bucket that was short when sorted.
+                if self.buckets[b].len() >= self.recheck_at {
+                    self.cur_sorted = false;
+                }
             } else {
                 self.buckets[b].push(ev);
             }
@@ -226,23 +300,23 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Drains every stored event into a scratch vector and re-anchors the
-    /// wheel geometry (bucket count ~ population, bucket width ~ average
-    /// inter-event spacing) at the earliest pending time.
+    /// Drains every stored event into the reused scratch buffer and
+    /// re-anchors the wheel at the earliest pending time: the bucket count
+    /// follows the population, the bucket width the near-term spacing
+    /// ([`CalendarQueue::plan_shift`]).
     fn rebuild(&mut self) {
-        let mut all: Vec<TimedEvent<E>> = Vec::with_capacity(self.len());
+        let mut all = std::mem::take(&mut self.drained);
         for b in &mut self.buckets {
             all.append(b);
         }
         all.append(&mut self.overflow);
         self.wheel_len = 0;
         self.cur_sorted = false;
+        self.cur = 0;
         if all.is_empty() {
-            self.cur = 0;
+            self.drained = all;
             return;
         }
-        let min_t = all.iter().map(|e| e.time.as_ps()).min().unwrap();
-        let max_t = all.iter().map(|e| e.time.as_ps()).max().unwrap();
         let n = all
             .len()
             .next_power_of_two()
@@ -254,10 +328,11 @@ impl<E> CalendarQueue<E> {
             // proportional to the live population.
             self.buckets.truncate(n);
         }
-        self.shift = Self::shift_for(max_t - min_t, all.len());
-        self.win_start = min_t;
-        self.cur = 0;
-        for ev in all {
+        self.times.clear();
+        self.times.extend(all.iter().map(|e| e.time.as_ps()));
+        self.shift = Self::plan_shift(&mut self.times);
+        self.win_start = self.times[0];
+        for ev in all.drain(..) {
             let t = ev.time.as_ps();
             if t >= self.win_end() {
                 self.overflow.push(ev);
@@ -267,18 +342,21 @@ impl<E> CalendarQueue<E> {
                 self.wheel_len += 1;
             }
         }
+        self.drained = all;
     }
 
     /// Re-seeds the wheel from the overflow list once the wheel has drained:
     /// the window jumps to the earliest overflow event (a "wheel-overflow
-    /// tick") and every overflow event inside the new window moves into its
+    /// tick"), the bucket width is re-planned from the overflow's near-term
+    /// spacing, and every overflow event inside the new window moves into its
     /// bucket.
     fn reanchor_from_overflow(&mut self) {
         debug_assert!(self.wheel_len == 0 && !self.overflow.is_empty());
-        let min_t = self.overflow.iter().map(|e| e.time.as_ps()).min().unwrap();
-        let max_t = self.overflow.iter().map(|e| e.time.as_ps()).max().unwrap();
-        self.shift = Self::shift_for(max_t - min_t, self.overflow.len());
-        self.win_start = min_t;
+        self.times.clear();
+        self.times
+            .extend(self.overflow.iter().map(|e| e.time.as_ps()));
+        self.shift = Self::plan_shift(&mut self.times);
+        self.win_start = self.times[0];
         self.cur = 0;
         self.cur_sorted = false;
         let mut i = 0;
@@ -300,6 +378,15 @@ impl<E> CalendarQueue<E> {
     /// and sorts it (descending) so the minimum is its last element. Advances
     /// the scan cursor past empty buckets and re-anchors from the overflow as
     /// needed. Returns `false` iff the queue is empty.
+    ///
+    /// A cursor bucket that turns out to hold more than [`REPLAN_DISTINCT`]
+    /// distinct timestamps is re-planned once: it holds the earliest pending
+    /// events, so its spacing is the near-term spacing, and the rebuild
+    /// narrows the width to it before the bucket takes sorted inserts. A
+    /// sorted cursor bucket that doubles in length through inserts comes
+    /// back here for the same check, so a burst landing in a bucket that was
+    /// short when sorted is caught too; a same-time cascade only costs a
+    /// re-sort of already sorted events per doubling.
     fn settle_min(&mut self) -> bool {
         if self.len() == 0 {
             return false;
@@ -309,19 +396,34 @@ impl<E> CalendarQueue<E> {
         if self.len() < self.buckets.len() / 16 && self.buckets.len() > MIN_BUCKETS {
             self.rebuild();
         }
-        if self.wheel_len == 0 {
-            self.reanchor_from_overflow();
-        }
-        while self.buckets[self.cur].is_empty() {
-            self.cur += 1;
-            self.cur_sorted = false;
-            debug_assert!(self.cur < self.buckets.len(), "wheel invariant violated");
-        }
-        if !self.cur_sorted {
-            self.buckets[self.cur].sort_unstable_by(|a, b| Self::key(b).cmp(&Self::key(a)));
+        let mut replanned = false;
+        loop {
+            if self.wheel_len == 0 {
+                self.reanchor_from_overflow();
+            }
+            while self.buckets[self.cur].is_empty() {
+                self.cur += 1;
+                self.cur_sorted = false;
+                debug_assert!(self.cur < self.buckets.len(), "wheel invariant violated");
+            }
+            if self.cur_sorted {
+                return true;
+            }
+            let bucket = &mut self.buckets[self.cur];
+            bucket.sort_unstable_by(|a, b| Self::key(b).cmp(&Self::key(a)));
+            if !replanned
+                && bucket.len() > REPLAN_DISTINCT
+                && 1 + bucket.windows(2).filter(|w| w[0].time != w[1].time).count()
+                    > REPLAN_DISTINCT
+            {
+                replanned = true;
+                self.rebuild();
+                continue;
+            }
             self.cur_sorted = true;
+            self.recheck_at = (2 * bucket.len()).max(2 * REPLAN_DISTINCT);
+            return true;
         }
-        true
     }
 
     fn peek_key(&mut self) -> Option<(SimTime, u64)> {
@@ -678,6 +780,100 @@ mod tests {
         // verify monotone non-decreasing keys after the final drain point.
         let tail = &popped[popped.len().saturating_sub(1000)..];
         assert!(tail.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    /// Drives `q` with a deterministic stream shaped like a cluster run's
+    /// queue traffic: 64 task completions kept 0.5–1 ms ahead, each
+    /// completion setting off a burst of 8–23 protocol chains whose links
+    /// land 2 ns–2 µs ahead (about 64 links a chain, so some 100 near-term
+    /// events are pending at once), plus same-time cascades, past-time
+    /// clamps and reserved sequence numbers scheduled late. Returns every
+    /// popped `(time, seq, payload)`; the payload's low two bits tell a leaf
+    /// (0), a completion (1) and a chain link (2) apart.
+    fn shaped_stream(q: &mut EventQueue<u64>) -> Vec<(SimTime, u64, u64)> {
+        const COMPLETIONS: u64 = 64;
+        const POPS: usize = 40_000;
+        const LEAF: u64 = 0;
+        const COMPLETION: u64 = 1;
+        const LINK: u64 = 2;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let far = |r: u64| 500_000_000 + r % 500_000_000; // 0.5–1 ms in ps
+        let near = |r: u64| 2_000 + r % 2_000_000; // 2 ns–2 µs in ps
+        let mut next_id = 0u64;
+        let mut id = |kind: u64| {
+            next_id += 1;
+            next_id << 2 | kind
+        };
+        for _ in 0..COMPLETIONS {
+            let r = rng();
+            q.schedule(at(far(r)), id(COMPLETION));
+        }
+        let mut reserved: Vec<u64> = Vec::new();
+        let mut popped = Vec::new();
+        while let Some(ev) = q.pop() {
+            let now = ev.time.as_ps();
+            popped.push((ev.time, ev.seq, ev.payload));
+            if popped.len() >= POPS {
+                continue; // drain what is left
+            }
+            if let Some(s) = reserved.pop() {
+                let r = rng();
+                q.schedule_at_seq(at(now + near(r)), s, id(LEAF));
+            }
+            let r = rng();
+            match ev.payload & 3 {
+                COMPLETION => {
+                    q.schedule(at(now + far(r)), id(COMPLETION));
+                    for _ in 0..8 + r % 16 {
+                        let r = rng();
+                        q.schedule(at(now + near(r)), id(LINK));
+                    }
+                }
+                LINK => {
+                    if r % 64 != 0 {
+                        q.schedule(at(now + near(r >> 8)), id(LINK));
+                    }
+                    match (r >> 4) % 16 {
+                        0..=3 => q.schedule(ev.time, id(LEAF)), // same-time cascade
+                        4 => q.schedule(at(now - (r >> 8) % (now + 1)), id(LEAF)), // past clamp
+                        5 | 6 => reserved.push(q.reserve_seq()),
+                        _ => {}
+                    }
+                }
+                _ => {}
+            }
+        }
+        popped
+    }
+
+    #[test]
+    fn calendar_keeps_the_cursor_bucket_short_on_a_simulator_shaped_stream() {
+        // The width rule's regression test: both engines pop the identical
+        // stream, and the calendar's sorted cursor bucket stays short, so an
+        // insert shifts a handful of events rather than the whole near term
+        // (a width of the population's span over its count averaged about
+        // 120 events per insert on this stream).
+        let mut heap = EventQueue::with_engine(EngineKind::Heap);
+        let mut cal = EventQueue::with_engine(EngineKind::Calendar);
+        let expected = shaped_stream(&mut heap);
+        assert_eq!(shaped_stream(&mut cal), expected);
+        assert!(expected.windows(2).any(|w| w[0].0 == w[1].0), "no cascades");
+        let Engine::Calendar(c) = &cal.engine else {
+            unreachable!("calendar engine")
+        };
+        let shape = c.shape;
+        assert!(shape.sorted_inserts > 1_000, "{shape:?}");
+        let mean = shape.sorted_insert_len as f64 / shape.sorted_inserts as f64;
+        assert!(
+            mean <= 8.0,
+            "cursor bucket held {mean:.1} events per insert"
+        );
     }
 
     #[test]
