@@ -5,14 +5,27 @@
 //!
 //! One **manager thread** per node owns the node's dependence state and talks
 //! to everyone over channels; `workers_per_node` **worker threads** per node
-//! compete on the node's task channel and execute bodies. The master side
-//! (any thread holding a [`RuntimeHandle`]) routes each submission through
-//! the shared `DepScanner` — the same placement + dependence-edge definition
-//! the event simulator uses — and then:
+//! execute bodies. The master side (any thread holding a [`RuntimeHandle`])
+//! routes each submission through the shared `DepScanner` — the same
+//! placement + dependence-edge definition the event simulator uses — and
+//! then:
 //!
 //! 1. sends `Subscribe { producer, to: home }` to each *remote* producer's
 //!    home node (the producer's **directory**), and
 //! 2. sends `Submit { idx, producers, … }` to the task's home node.
+//!
+//! The manager and the workers of a node share one **ready queue**. The
+//! manager pushes a descriptor to its back the moment its last producer
+//! retires; an idle worker takes from its front and stamps
+//! `SpanEvent::Dispatched` as it does. A worker that finishes a body reports
+//! `WorkerDone` to its manager and takes the next queued descriptor without
+//! waiting for the manager, parking only while the queue is empty; a push
+//! notifies only when a worker is parked. The node's free worker count is
+//! its workers minus those running a body, read under the queue's lock. At
+//! shutdown the manager sets the queue's stop flag: each worker finishes the
+//! body it is running and takes no more. A body that panics fails its task:
+//! the worker counts it as `task.failed` and never retires it, so its
+//! dependents stay pending instead of running on missing inputs.
 //!
 //! A manager marks a producer retired either by executing it, by receiving a
 //! cross-node `Notify`, or — for descriptors it granted to a thief — by the
@@ -30,8 +43,9 @@
 //! admits each granted descriptor exactly like a submission. The kinds
 //! differ in the candidates and the policy calls:
 //!
-//! * a **steal** takes ready descriptors (`choose_victim_tiered`,
-//!   `batch_for`);
+//! * a **steal** takes ready descriptors from the back of the victim's ready
+//!   queue (`choose_victim_tiered`, `batch_for`), so every descriptor no
+//!   worker has taken yet stays stealable;
 //! * a **reclaim** (feedback `Reclaim`/`Full`, only while the thief is
 //!   completely drained and has no steal in flight) takes dependence-*blocked*
 //!   descriptors a steal cannot reach (`choose_reclaim_victim` over the live
@@ -49,7 +63,7 @@
 
 use crate::config::RtConfig;
 use crate::task::{RtTask, SubmitError, TaskBody};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use nexus_cluster::routing::DepScanner;
 use nexus_host::{MasterSm, MasterStep};
 use nexus_obs::{Registry, SharedRecorder, SpanEvent};
@@ -58,6 +72,7 @@ use nexus_sim::{FxHashMap, FxHashSet, SimDuration, SimTime};
 use nexus_topo::DistanceMatrix;
 use nexus_trace::{TaskId, Trace};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
@@ -73,8 +88,8 @@ const IDLE_TICK: Duration = Duration::from_millis(1);
 /// schedule at.
 const DIGEST_HALF_LIFE_NS: u64 = 1_000_000;
 
-/// A task descriptor, the one unit submissions, migration grants and worker
-/// hand-offs carry. `home` pins the directory node, so a descriptor migrated
+/// A task descriptor, the one unit submissions, migration grants and ready
+/// queues carry. `home` pins the directory node, so a descriptor migrated
 /// (even repeatedly) still reports its retirement back to the one node
 /// holding its subscriptions.
 struct Descriptor {
@@ -139,12 +154,94 @@ enum MgrMsg {
     Shutdown,
 }
 
-/// Messages from a manager to its node's worker pool.
-enum WorkerMsg {
-    /// Execute one ready task (body, then the scaled duration sleep).
-    Run(Descriptor),
-    /// Exit the worker loop.
-    Stop,
+/// One node's ready queue, shared by its manager (which pushes to the back
+/// and, for steals, pops from the back) and its workers (which take from the
+/// front).
+struct ReadyQueue {
+    state: Mutex<ReadyState>,
+    /// Parked workers wait here for a descriptor or the stop flag.
+    cv: Condvar,
+}
+
+struct ReadyState {
+    /// Dependence-free descriptors no worker has taken yet.
+    tasks: VecDeque<Descriptor>,
+    /// Workers between taking a descriptor and coming back for the next.
+    running: usize,
+    /// Workers blocked on the condvar. Each counts itself in and out under
+    /// the lock, so a push that reads `parked == woken` knows every parked
+    /// worker already has a wake-up coming and skips the notify.
+    parked: usize,
+    /// Notifies sent that no woken worker has consumed yet.
+    woken: usize,
+    /// Set at shutdown: workers take no more descriptors.
+    stop: bool,
+}
+
+impl ReadyQueue {
+    fn new() -> Self {
+        ReadyQueue {
+            state: Mutex::new(ReadyState {
+                tasks: VecDeque::new(),
+                running: 0,
+                parked: 0,
+                woken: 0,
+                stop: false,
+            }),
+            cv: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, ReadyState> {
+        self.state.lock().expect("ready queue poisoned")
+    }
+
+    /// Queues a ready descriptor at the back, waking a parked worker that
+    /// has no wake-up coming yet.
+    fn push(&self, desc: Descriptor) {
+        let mut q = self.lock();
+        q.tasks.push_back(desc);
+        let wake = q.parked > q.woken;
+        if wake {
+            q.woken += 1;
+        }
+        drop(q);
+        if wake {
+            self.cv.notify_one();
+        }
+    }
+
+    /// Worker side: the next descriptor from the front, blocking while the
+    /// queue is empty; `None` once the runtime stops. `finished` says the
+    /// caller is coming back from a body it took earlier.
+    fn take(&self, finished: bool) -> Option<Descriptor> {
+        let mut q = self.lock();
+        if finished {
+            q.running -= 1;
+        }
+        loop {
+            if q.stop {
+                return None;
+            }
+            if let Some(desc) = q.tasks.pop_front() {
+                q.running += 1;
+                return Some(desc);
+            }
+            q.parked += 1;
+            q = self.cv.wait(q).expect("ready queue poisoned");
+            q.parked -= 1;
+            // Spurious wake-ups may consume a notify meant for another
+            // worker; that only makes a later push notify again.
+            q.woken = q.woken.saturating_sub(1);
+        }
+    }
+
+    /// Stops the node's workers: each finishes the body it is running and
+    /// takes no more descriptors.
+    fn stop(&self) {
+        self.lock().stop = true;
+        self.cv.notify_all();
+    }
 }
 
 /// Per-node load board: lock-free counters the owning manager publishes and
@@ -180,6 +277,8 @@ struct NodeStats {
     /// Per [`MigrationKind`].
     migration: [MigrationStats; 2],
     digest_updates: u64,
+    /// Task bodies that panicked on this node's workers.
+    failed: u64,
 }
 
 /// Everything shared about one node.
@@ -187,19 +286,40 @@ struct NodeShared {
     stats: Mutex<NodeStats>,
     per_worker_done: Vec<AtomicU64>,
     board: Board,
+    ready: ReadyQueue,
 }
 
 /// The global retirement record: `order` is the append-only log (one entry
 /// per executed task, in real wall-clock retirement order — the topological
-/// witness), `set` the membership index behind `taskwait on`.
+/// witness), `retired` the membership index behind `taskwait on`.
 #[derive(Default)]
 struct RetireLog {
     order: Vec<TaskId>,
-    set: FxHashSet<TaskId>,
+    /// One bit per submission index, set when that task retires.
+    retired: Vec<u64>,
     /// Threads blocked on `Inner::log_cv`. Every waiter counts itself in
     /// and out under the log lock, so a retirement that reads zero here
     /// under the same lock can skip the wake-up without losing one.
     waiters: usize,
+}
+
+impl RetireLog {
+    /// Appends the retirement of submission `idx` (task `id`).
+    fn retire(&mut self, idx: usize, id: TaskId) {
+        self.order.push(id);
+        let word = idx / 64;
+        if word >= self.retired.len() {
+            self.retired.resize(word + 1, 0);
+        }
+        self.retired[word] |= 1 << (idx % 64);
+    }
+
+    /// Whether submission `idx` has retired.
+    fn is_retired(&self, idx: usize) -> bool {
+        self.retired
+            .get(idx / 64)
+            .is_some_and(|w| w >> (idx % 64) & 1 == 1)
+    }
 }
 
 /// Master-side submission state, serialized under one lock so placement and
@@ -208,8 +328,9 @@ struct SubmitState {
     scanner: DepScanner,
     /// Home node per submission index (the scanner does not expose these).
     homes: Vec<usize>,
-    /// Last writing task per address — the `taskwait on` target map.
-    last_writer: FxHashMap<u64, TaskId>,
+    /// Submission index of the last writing task per address — the
+    /// `taskwait on` target map.
+    last_writer: FxHashMap<u64, usize>,
     /// `(producer, node)` pairs already subscribed (dedup: one `Notify` per
     /// consuming node is enough, readiness counting is per missing producer).
     subscribed: FxHashSet<(usize, usize)>,
@@ -312,6 +433,8 @@ pub struct NodeStatsSnapshot {
     /// Piggybacked load digests this node's manager folded into its live
     /// view table (0 with feedback off — no digest ever rides a `Notify`).
     pub digest_updates: u64,
+    /// Task bodies that panicked on this node's workers (never retired).
+    pub failed: u64,
     /// Tasks completed per worker thread of this node.
     pub per_worker_done: Vec<u64>,
 }
@@ -333,7 +456,9 @@ pub struct ShutdownReport {
     /// (`task.executed`, `task.retired`, `steal.stolen`, `steal.grants`,
     /// `steal.failures`, `reclaim.reclaimed`, `reclaim.grants`,
     /// `reclaim.failures`, `load.digest.updates`), so the conformance suite
-    /// can compare the live and simulated censuses key by key.
+    /// can compare the live and simulated censuses key by key. The live
+    /// runtime adds `task.failed`: task bodies that panicked. A failed task
+    /// never retires, so its dependents stay pending.
     pub metrics: Registry,
 }
 
@@ -464,6 +589,7 @@ impl ClusterRuntime {
                     outstanding: AtomicU64::new(0),
                     speed_milli: total_speed,
                 },
+                ready: ReadyQueue::new(),
             })
             .collect();
         let inner = Arc::new(Inner {
@@ -487,17 +613,13 @@ impl ClusterRuntime {
         });
 
         for (node, rx) in mgr_rx.into_iter().enumerate() {
-            // Room for one in-flight Run per worker plus the Stop flood at
-            // shutdown, so the manager never blocks on its own pool.
-            let (worker_tx, worker_rx) = bounded::<WorkerMsg>(2 * cfg.workers_per_node);
             for (w, &speed) in speeds_milli.iter().enumerate() {
-                let rx = worker_rx.clone();
                 let done = inner.mgr_tx[node].clone();
                 let shared = Arc::clone(&inner);
                 let scale = cfg.time_scale_ns_per_us;
                 let t = thread::Builder::new()
                     .name(format!("nexus-rt-w{node}.{w}"))
-                    .spawn(move || worker_loop(node, w, speed, scale, rx, done, shared))
+                    .spawn(move || worker_loop(node, w, speed, scale, done, shared))
                     .expect("failed to spawn worker thread");
                 self.threads.push(t);
             }
@@ -505,7 +627,6 @@ impl ClusterRuntime {
                 node,
                 workers: cfg.workers_per_node,
                 inner: Arc::clone(&inner),
-                worker_tx,
                 policy: cfg.stealing.build(),
                 migrating: [cfg.stealing.is_enabled(), cfg.feedback.reclaim_enabled()],
                 feedback: cfg.feedback,
@@ -516,8 +637,6 @@ impl ClusterRuntime {
                 pending: FxHashMap::default(),
                 reclaimed_away: FxHashMap::default(),
                 views: vec![LoadView::default(); cfg.nodes],
-                ready: VecDeque::new(),
-                free: cfg.workers_per_node,
                 done: 0,
                 inflight: [false; 2],
             };
@@ -603,6 +722,7 @@ impl ClusterRuntime {
             node.add("reclaim.grants", s.reclaim_grants);
             node.add("reclaim.failures", s.reclaim_failures);
             node.add("load.digest.updates", s.digest_updates);
+            node.add("task.failed", s.failed);
             node.sample("node.executed", s.executed);
             metrics.merge(&node);
         }
@@ -670,7 +790,7 @@ impl RuntimeHandle {
         let idx = sub.homes.len();
         sub.homes.push(rec.home);
         for p in descriptor.outputs() {
-            sub.last_writer.insert(p.addr, id);
+            sub.last_writer.insert(p.addr, idx);
         }
         for &rp in &rec.remote_producers {
             let producer_home = sub.homes[rp];
@@ -723,7 +843,7 @@ impl RuntimeHandle {
         let Some(target) = target else { return };
         let inner = &self.inner;
         drop(inner.wait_log(None, |log| {
-            log.set.contains(&target) || inner.shutdown.load(Ordering::Acquire)
+            log.is_retired(target) || inner.shutdown.load(Ordering::Acquire)
         }));
     }
 
@@ -770,6 +890,7 @@ impl RuntimeHandle {
                     reclaim_grants: reclaim.grants,
                     reclaim_failures: reclaim.failures,
                     digest_updates: stats.digest_updates,
+                    failed: stats.failed,
                     per_worker_done: shared
                         .per_worker_done
                         .iter()
@@ -835,7 +956,6 @@ struct Mgr {
     node: usize,
     workers: usize,
     inner: Arc<Inner>,
-    worker_tx: Sender<WorkerMsg>,
     policy: Box<dyn StealPolicy>,
     /// Which [`MigrationKind`]s this manager requests when idle.
     migrating: [bool; 2],
@@ -857,10 +977,6 @@ struct Mgr {
     /// Live per-node load digests folded from piggybacked `Notify` loads
     /// (reclaim victim selection reads them; all-default with feedback off).
     views: Vec<LoadView>,
-    /// Dependence-free descriptors waiting for a worker (the stealable
-    /// backlog; thieves take from the back).
-    ready: VecDeque<Descriptor>,
-    free: usize,
     /// Tasks this node's workers completed (the digest's retire counter —
     /// tracked locally so digest emission never takes the stats lock).
     done: u64,
@@ -872,20 +988,13 @@ impl Mgr {
     fn run(mut self, rx: Receiver<MgrMsg>) {
         loop {
             let idle = match rx.recv_timeout(IDLE_TICK) {
-                Ok(MgrMsg::Shutdown) => {
-                    for _ in 0..self.workers {
-                        let _ = self.worker_tx.send(WorkerMsg::Stop);
-                    }
-                    return;
-                }
+                Ok(MgrMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
                 Ok(msg) => {
                     self.on_msg(msg);
                     false
                 }
                 Err(RecvTimeoutError::Timeout) => true,
-                Err(RecvTimeoutError::Disconnected) => return,
             };
-            self.dispatch();
             if idle {
                 for kind in MigrationKind::ALL {
                     self.try_migrate(kind);
@@ -893,6 +1002,7 @@ impl Mgr {
             }
             self.sync_board();
         }
+        self.ready().stop();
     }
 
     fn on_msg(&mut self, msg: MgrMsg) {
@@ -914,14 +1024,12 @@ impl Mgr {
                 self.producer_retired(producer);
             }
             MgrMsg::WorkerDone { idx, id, home } => {
-                self.free += 1;
                 self.done += 1;
                 self.stats().executed += 1;
                 self.publish_digest();
                 let waiters = {
                     let mut log = self.inner.lock_log();
-                    log.order.push(id);
-                    log.set.insert(id);
+                    log.retire(idx, id);
                     log.waiters
                 };
                 if let Some(r) = &self.inner.rec {
@@ -966,7 +1074,7 @@ impl Mgr {
     fn admit(&mut self, mut desc: Descriptor) {
         desc.missing.retain(|p| !self.retired.contains(p));
         if desc.missing.is_empty() {
-            self.ready.push_back(desc);
+            self.ready().push(desc);
         } else {
             for &p in &desc.missing {
                 self.waiting.entry(p).or_default().push(desc.idx);
@@ -1002,7 +1110,7 @@ impl Mgr {
             };
             if now_ready {
                 let t = self.pending.remove(&idx).expect("checked above");
-                self.ready.push_back(t);
+                self.ready().push(t);
             }
         }
     }
@@ -1024,11 +1132,12 @@ impl Mgr {
         if !self.feedback.is_enabled() {
             return None;
         }
+        let (ready, running) = self.queue_census();
         Some((
             self.node,
             LoadView {
-                pending: (self.pending.len() + self.ready.len()) as u64,
-                in_flight: (self.workers - self.free) as u64,
+                pending: (self.pending.len() + ready) as u64,
+                in_flight: running as u64,
                 retired: self.done,
                 updated_at: self.inner.epoch.elapsed().as_nanos() as u64,
             },
@@ -1057,22 +1166,15 @@ impl Mgr {
         }
     }
 
-    /// Hands ready descriptors to free workers (the workers compete on the
-    /// node's task channel, fastest-finisher-first by construction).
-    fn dispatch(&mut self) {
-        while self.free > 0 {
-            let Some(t) = self.ready.pop_front() else {
-                break;
-            };
-            self.free -= 1;
-            if let Some(r) = &self.inner.rec {
-                r.record_now(SpanEvent::Dispatched {
-                    task: t.idx,
-                    node: self.node,
-                });
-            }
-            let _ = self.worker_tx.send(WorkerMsg::Run(t));
-        }
+    /// This node's ready queue.
+    fn ready(&self) -> &ReadyQueue {
+        &self.inner.nodes[self.node].ready
+    }
+
+    /// Ready descriptors no worker has taken, and workers running a body.
+    fn queue_census(&self) -> (usize, usize) {
+        let q = self.ready().lock();
+        (q.tasks.len(), q.running)
     }
 
     /// On an idle tick with free workers and no backlog, snapshots the load
@@ -1081,11 +1183,12 @@ impl Mgr {
     /// is completely drained and no steal is in flight (eligible work is
     /// always the cheaper import).
     fn try_migrate(&mut self, kind: MigrationKind) {
-        if !self.migrating[kind.index()]
-            || self.inflight[kind.index()]
-            || self.free == 0
-            || !self.ready.is_empty()
-        {
+        if !self.migrating[kind.index()] || self.inflight[kind.index()] {
+            return;
+        }
+        let (ready, running) = self.queue_census();
+        let free = self.workers - running;
+        if free == 0 || ready > 0 {
             return;
         }
         if kind == MigrationKind::Reclaim
@@ -1117,27 +1220,29 @@ impl Mgr {
         let _ = self.inner.mgr_tx[victim].send(MgrMsg::MigrateRequest {
             kind,
             thief: self.node,
-            free: self.free,
+            free,
         });
     }
 
     /// Victim side of migration: hands the thief up to a policy-sized batch
     /// of the *youngest* candidates, or an empty-handed grant. A steal takes
-    /// ready descriptors from the back of the queue (the oldest are the ones
-    /// local consumers have waited on longest); a reclaim takes the blocked
-    /// descriptors with the highest submission index (the oldest are closest
-    /// to resolving locally), each with its unresolved producer list, and
+    /// ready descriptors from the back of the node's ready queue, whose front
+    /// the workers take from (the oldest are the ones local consumers have
+    /// waited on longest); a reclaim takes the blocked descriptors with the
+    /// highest submission index (the oldest are closest to resolving
+    /// locally), each with its unresolved producer list, and
     /// registers forwarding entries so every later producer retirement this
     /// node learns of is relayed to the thief.
     fn grant(&mut self, kind: MigrationKind, thief: usize, free: usize) {
         let tasks: Vec<Descriptor> = match kind {
             MigrationKind::Steal => {
+                let mut q = self.ready().lock();
                 let n = self
                     .policy
-                    .batch_for(free, self.ready.len())
-                    .min(self.ready.len());
+                    .batch_for(free, q.tasks.len())
+                    .min(q.tasks.len());
                 (0..n)
-                    .map(|_| self.ready.pop_back().expect("batch clamped to backlog"))
+                    .map(|_| q.tasks.pop_back().expect("batch clamped to backlog"))
                     .collect()
             }
             MigrationKind::Reclaim => {
@@ -1222,16 +1327,17 @@ impl Mgr {
 
     fn sync_board(&self) {
         let board = &self.inner.nodes[self.node].board;
+        let (ready, running) = self.queue_census();
         // `pending` counts everything held at the node (blocked + ready),
         // matching the simulator's input-queue semantics, so that
         // `NodeLoad::reclaimable` = blocked count on both sides.
         board
             .pending
-            .store(self.pending.len() + self.ready.len(), Ordering::Relaxed);
-        board.stealable.store(self.ready.len(), Ordering::Relaxed);
-        board.free.store(self.free, Ordering::Relaxed);
+            .store(self.pending.len() + ready, Ordering::Relaxed);
+        board.stealable.store(ready, Ordering::Relaxed);
+        board.free.store(self.workers - running, Ordering::Relaxed);
         board.outstanding.store(
-            (self.pending.len() + self.ready.len() + (self.workers - self.free)) as u64,
+            (self.pending.len() + ready + running) as u64,
             Ordering::Relaxed,
         );
     }
@@ -1244,47 +1350,56 @@ impl Mgr {
     }
 }
 
-/// One worker thread: run the body, sleep the scaled duration, report back.
+/// One worker thread: take a descriptor from the node's ready queue, run
+/// the body, sleep the scaled duration, report back — until the runtime
+/// stops. A body that panics fails its task: it is counted, never retired,
+/// and the worker goes on to the next descriptor.
 fn worker_loop(
     node: usize,
     worker: usize,
     speed_milli: u64,
     time_scale_ns_per_us: u64,
-    rx: Receiver<WorkerMsg>,
     done: Sender<MgrMsg>,
     shared: Arc<Inner>,
 ) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WorkerMsg::Run(Descriptor {
-                idx,
-                id,
-                home,
-                duration,
-                body,
-                ..
-            }) => {
-                if let Some(r) = &shared.rec {
-                    r.record_now(SpanEvent::Started {
-                        task: idx,
-                        node,
-                        worker,
-                    });
-                }
-                if let Some(body) = body {
-                    body();
-                }
-                if time_scale_ns_per_us > 0 {
-                    let ns = duration.as_us_f64() * time_scale_ns_per_us as f64 * 1000.0
-                        / speed_milli as f64;
-                    thread::sleep(Duration::from_nanos(ns as u64));
-                }
-                shared.nodes[node].per_worker_done[worker].fetch_add(1, Ordering::Relaxed);
-                if done.send(MgrMsg::WorkerDone { idx, id, home }).is_err() {
-                    return;
-                }
+    let ready = &shared.nodes[node].ready;
+    let mut finished = false;
+    while let Some(desc) = ready.take(finished) {
+        finished = true;
+        let Descriptor {
+            idx,
+            id,
+            home,
+            duration,
+            body,
+            ..
+        } = desc;
+        if let Some(r) = &shared.rec {
+            r.record_now(SpanEvent::Dispatched { task: idx, node });
+            r.record_now(SpanEvent::Started {
+                task: idx,
+                node,
+                worker,
+            });
+        }
+        if let Some(body) = body {
+            if catch_unwind(AssertUnwindSafe(body)).is_err() {
+                shared.nodes[node]
+                    .stats
+                    .lock()
+                    .expect("node stats poisoned")
+                    .failed += 1;
+                continue;
             }
-            WorkerMsg::Stop => return,
+        }
+        if time_scale_ns_per_us > 0 {
+            let ns =
+                duration.as_us_f64() * time_scale_ns_per_us as f64 * 1000.0 / speed_milli as f64;
+            thread::sleep(Duration::from_nanos(ns as u64));
+        }
+        shared.nodes[node].per_worker_done[worker].fetch_add(1, Ordering::Relaxed);
+        if done.send(MgrMsg::WorkerDone { idx, id, home }).is_err() {
+            return;
         }
     }
 }
@@ -1469,6 +1584,32 @@ mod tests {
             .expect("reclaimed lifecycle breaks conservation");
         assert_eq!(conserved.retired, 24);
         assert_eq!(conserved.reclaimed as u64, reclaimed_in);
+    }
+
+    #[test]
+    fn a_panicking_body_fails_its_task_without_killing_the_worker() {
+        let mut rt = ClusterRuntime::new(RtConfig::new(1, 1));
+        let h = rt.start();
+        let (a, b) = (0xA0, 0xB0);
+        let dependent_ran = Arc::new(AtomicU64::new(0));
+        let ran = Arc::clone(&dependent_ran);
+        h.submit(RtTask::new(chain_task(0, a)).with_body(|| panic!("injected failure")))
+            .unwrap();
+        h.submit(RtTask::new(chain_task(1, a)).with_body(move || {
+            ran.fetch_add(1, Ordering::SeqCst);
+        }))
+        .unwrap();
+        h.submit(RtTask::new(chain_task(2, b))).unwrap();
+        // The one worker survived the panic: the independent task retires.
+        h.taskwait_on(b);
+        assert_eq!(h.retire_log(), vec![TaskId(2)]);
+        let report = rt.shutdown_timeout(Duration::from_millis(200));
+        assert_eq!(report.retired, 1);
+        assert_eq!(report.pending, 2);
+        assert_eq!(report.metrics.counter("task.failed"), 1);
+        assert_eq!(report.per_node[0].failed, 1);
+        // The dependent never ran on its failed producer's missing output.
+        assert_eq!(dependent_ran.load(Ordering::SeqCst), 0);
     }
 
     #[test]
